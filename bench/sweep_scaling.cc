@@ -1,18 +1,14 @@
 /**
  * @file
  * Sweep-engine scaling micro-benchmark: run the same point batch
- * serially (1 thread) and in parallel (TPROC_BENCH_THREADS or hardware
+ * serially (1 thread) and in parallel (--threads or hardware
  * concurrency), check the results are bit-identical, then run the
  * batch again in capture-once/replay-many mode (record each workload's
  * architectural trace on first use, replay it for every other point)
  * and check that replay is bit-identical to — and faster than —
- * regenerating every point from scratch. A final PE-parallel pass
- * reruns the single slowest point with intra-simulation parallelism
- * (ProcessorConfig::peThreads, TPROC_BENCH_PE_THREADS executors) and
- * checks the threaded run is bit-identical to the serial scheduler —
- * that pass measures the one latency sweep-level sharding cannot hide.
- * Wall-clock, throughput, and speedups land in a JSON artifact for CI
- * to archive (TPROC_SWEEP_JSON, default sweep_scaling.json).
+ * regenerating every point from scratch. Wall-clock, throughput, and
+ * speedups land in a JSON artifact for CI to archive (--json, default
+ * sweep_scaling.json).
  */
 
 #include <chrono>
@@ -122,15 +118,8 @@ main(int argc, char **argv)
     std::vector<harness::SweepResult> replay_results;
     double replay_s = timedRun(parallel, replay_points, replay_results);
 
-    // PE-parallel pass: intra-simulation parallelism on the single
-    // slowest point — the single-point latency that sweep-level
-    // sharding and threading cannot hide. Runs replay-warm (traces
-    // still on disk, parse already cached), the steady state a repeat
-    // sweep sees, so the measurement isolates the timing model the PE
-    // threads actually parallelize. Serial (peThreads=0) and threaded
-    // runs must be bit-identical — to each other and to the live
-    // serial reference; wall times take the best of a few repetitions
-    // to damp scheduler noise.
+    // The compression probe below measures the slowest point's
+    // workload.
     size_t slowest = 0;
     for (size_t i = 1; i < serial_results.size(); ++i) {
         if (serial_results[i].wallSeconds >
@@ -138,37 +127,6 @@ main(int argc, char **argv)
             slowest = i;
         }
     }
-    harness::SweepPoint pe_point = replay_points[slowest];
-    const unsigned pe_threads = bench::options().peThreads;
-    constexpr int pe_reps = 3;
-
-    std::cerr << "  PE-parallel pass (" << pe_point.label() << ", "
-              << pe_threads << " threads, best of " << pe_reps
-              << ")...\n";
-    auto bestOf = [&](int threads, harness::SweepResult &out) {
-        double best = 0.0;
-        bool ok = false;
-        for (int rep = 0; rep < pe_reps; ++rep) {
-            pe_point.peThreads = threads;
-            auto r = harness::SweepEngine::runPoint(pe_point);
-            if (!r.ok) {
-                // A failed rep must surface as a failure, not fabricate
-                // a short wall time or shadow a good rep's stats; keep
-                // it only if no rep succeeds.
-                if (!ok)
-                    out = std::move(r);
-                continue;
-            }
-            if (!ok || r.wallSeconds < best)
-                best = r.wallSeconds;
-            ok = true;
-            out = std::move(r);
-        }
-        return best;
-    };
-    harness::SweepResult pe_serial_res, pe_par_res;
-    double pe_serial_s = bestOf(0, pe_serial_res);
-    double pe_par_s = bestOf(static_cast<int>(pe_threads), pe_par_res);
 
     // Trace-size accounting: total on-disk bytes of the (compressed,
     // v2) traces the replay passes ran off, and the compression ratio
@@ -210,13 +168,6 @@ main(int argc, char **argv)
 
     std::error_code ec;
     std::filesystem::remove_all(trace_dir, ec);
-
-    bool pe_identical = pe_serial_res.ok && pe_par_res.ok &&
-        harness::statsToDict(pe_serial_res.stats) ==
-            harness::statsToDict(pe_par_res.stats) &&
-        harness::statsToDict(pe_serial_res.stats) ==
-            harness::statsToDict(serial_results[slowest].stats);
-    double pe_speedup = pe_par_s > 0.0 ? pe_serial_s / pe_par_s : 0.0;
 
     // The engine's determinism contract: identical per-point stats no
     // matter how many workers ran the batch — or whether the points
@@ -261,46 +212,12 @@ main(int argc, char **argv)
               << fmtDouble(trace_ratio, 2) << "x smaller than v1 on "
               << replay_points[slowest].workload << "\n";
 
-    auto peWall = [](const harness::SweepResult &r, double s) {
-        return r.ok ? fmtDouble(s, 3) : std::string("FAILED");
-    };
-    auto peRate = [](const harness::SweepResult &r, double s) {
-        return r.ok && s > 0.0
-            ? fmtDouble(r.stats.retiredInsts / s / 1e6, 2)
-            : std::string("-");
-    };
-    TextTable pt;
-    pt.header({"single point", "pe threads", "wall (s)", "Minsts/s"});
-    pt.row({pe_point.label(), "0 (serial)",
-            peWall(pe_serial_res, pe_serial_s),
-            peRate(pe_serial_res, pe_serial_s)});
-    pt.row({pe_point.label(), std::to_string(pe_threads),
-            peWall(pe_par_res, pe_par_s), peRate(pe_par_res, pe_par_s)});
-    pt.print(std::cout);
-    std::cout << "\npe-parallel speedup " << fmtDouble(pe_speedup, 2)
-              << "x on " << pe_point.label() << " ("
-              << std::thread::hardware_concurrency()
-              << " hardware threads), stats "
-              << (pe_identical
-                      ? "bit-identical"
-                      : pe_serial_res.ok && pe_par_res.ok ? "DIVERGED"
-                                                          : "FAILED")
-              << "\n";
-    if (!pe_serial_res.ok) {
-        std::cout << "pe-parallel serial pass FAILED: "
-                  << pe_serial_res.error << "\n";
-    }
-    if (!pe_par_res.ok) {
-        std::cout << "pe-parallel threaded pass FAILED: "
-                  << pe_par_res.error << "\n";
-    }
-
     // A diverged or failed run must still leave a complete, parseable
     // artifact behind — CI reads the gate fields from the JSON, so a
     // torn or half-populated file would turn a red result into an
     // unreportable one. The explicit "diverged" field spares consumers
-    // from reconstructing the verdict out of the three identity bits.
-    const bool diverged = !identical || !replay_identical || !pe_identical;
+    // from reconstructing the verdict out of the identity bits.
+    const bool diverged = !identical || !replay_identical;
     std::string path = bench::options().json.empty()
         ? "sweep_scaling.json" : bench::options().json;
     std::ofstream out(path);
@@ -325,15 +242,6 @@ main(int argc, char **argv)
         << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
         << "  \"replay_identical\": "
         << (replay_identical ? "true" : "false") << ",\n"
-        << "  \"pe_workload\": \"" << jsonEscape(pe_point.label())
-        << "\",\n"
-        << "  \"pe_threads\": " << pe_threads << ",\n"
-        << "  \"pe_serial_seconds\": " << jsonNumber(pe_serial_s) << ",\n"
-        << "  \"pe_parallel_seconds\": " << jsonNumber(pe_par_s) << ",\n"
-        << "  \"pe_parallel_speedup\": " << jsonNumber(pe_speedup)
-        << ",\n"
-        << "  \"pe_parallel_identical\": "
-        << (pe_identical ? "true" : "false") << ",\n"
         << "  \"diverged\": " << (diverged ? "true" : "false") << ",\n"
         << "  \"failed_points\": " << failed << ",\n"
         << "  \"results\": ";

@@ -8,8 +8,8 @@
  * report makes between timing and non-timing fields — see
  * docs/metrics.md). The registry exists purely for operational
  * attribution: where did this sweep's wall clock go — capture, parse,
- * simulate, journal flush, merge, or the per-cycle compute/commit
- * halves of the PE-parallel scheduler?
+ * simulate, journal flush, merge, or the cycle loop's completion and
+ * issue polling?
  */
 
 #ifndef TPROC_COMMON_HIRES_TIMER_HH

@@ -186,9 +186,6 @@ ProcessorConfig::validate() const
                     static_cast<long long>(cgciReconvergeTimeout));
     requirePositive("watchdogCycles",
                     static_cast<long long>(watchdogCycles));
-    if (peThreads < 0)
-        badKnob("peThreads",
-                "must be >= 0 (got " + std::to_string(peThreads) + ")");
     if (metricsInterval > 0 && metricsCapacity < 1)
         badKnob("metricsCapacity", "must be >= 1 when metricsInterval > 0");
 }

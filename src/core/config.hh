@@ -106,19 +106,6 @@ struct ProcessorConfig
     std::string identity;
 
     /**
-     * Intra-simulation parallelism: executors for the per-PE compute
-     * phases (completion scan, local issue/execute), stepped by a
-     * per-cycle epoch barrier; every side effect on global structures
-     * (ARB, rename, frontend, buses, events) commits serially in
-     * window order, so statistics are bit-identical for every value
-     * (test_pe_parallel- and CI-enforced). Counts executors including
-     * the simulation thread itself: 0 (default) keeps the legacy
-     * inline serial scheduler, 1 is the pooled scheduler degenerated
-     * to inline execution, N > 1 runs the compute phases N-wide.
-     */
-    int peThreads = 0;
-
-    /**
      * Windowed telemetry: sample the interval metrics channels (see
      * docs/metrics.md) every this many cycles into a bounded
      * IntervalSeries ring buffer. 0 (default) disables sampling — the

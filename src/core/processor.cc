@@ -6,7 +6,6 @@
 
 #include "common/hires_timer.hh"
 #include "common/logging.hh"
-#include "harness/cycle_pool.hh"
 #include "isa/disasm.hh"
 
 namespace tproc
@@ -32,6 +31,21 @@ traceRecovery()
         }                                                                    \
     } while (0)
 
+/** Run fn, adding its wall seconds to *acc when telemetry is on (acc
+ *  non-null); with telemetry off the clock is never read. */
+template <typename Fn>
+void
+timedInto(double *acc, Fn &&fn)
+{
+    if (!acc) {
+        fn();
+        return;
+    }
+    HiresTimer t;
+    fn();
+    *acc += t.seconds();
+}
+
 } // anonymous namespace
 
 /**
@@ -40,8 +54,9 @@ traceRecovery()
  * previous interval boundary so every sample reports a clean delta;
  * the sums average per-cycle facts (occupancy, bus backlog) over the
  * interval; the wall-second accumulators feed the cycle_compute /
- * cycle_commit phase attribution. Strictly observer state: nothing in
- * here is ever read by the simulation itself.
+ * cycle_commit phase attribution (completion and issue polling vs the
+ * rest of the cycle). Strictly observer state: nothing in here is ever
+ * read by the simulation itself.
  */
 struct Processor::MetricsState
 {
@@ -99,9 +114,6 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
     windowPe.reserve(cfg.numPEs);
     for (int i = cfg.numPEs - 1; i >= 0; --i)
         freePes.push_back(i);
-    if (cfg.peThreads > 0)
-        peThreadPool = std::make_unique<harness::CyclePool>(
-            static_cast<unsigned>(cfg.peThreads));
     if (cfg.metricsInterval > 0) {
         metrics = std::make_unique<MetricsState>();
         metrics->series = IntervalSeries(
@@ -450,12 +462,6 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 }
 
 void
-Processor::runOnPool(size_t n, const std::function<void(size_t)> &fn)
-{
-    peThreadPool->run(n, fn);
-}
-
-void
 Processor::issueTrace(InFlightTrace &t)
 {
     // Readiness precheck: a trace with no un-issued slot cannot issue
@@ -479,80 +485,39 @@ Processor::issueTrace(InFlightTrace &t)
 void
 Processor::phaseIssue()
 {
-    // Pure compute phase: each PE issues against its own slots and the
-    // frozen register file (nothing writes prf during issue), so there
-    // is no commit half and no cross-PE ordering to preserve.
-    if (metrics) {
-        HiresTimer t;
-        forEachWindowEntry(window.size(),
-                           [this](size_t i) { issueTrace(entryAt(i)); });
-        metrics->computeSeconds += t.seconds();
-        return;
-    }
-    forEachWindowEntry(window.size(),
-                       [this](size_t i) { issueTrace(entryAt(i)); });
-}
-
-void
-Processor::scanCompletions(size_t wpos)
-{
-    // Collect, don't complete: completion side effects (events, bus
-    // requests) belong to the commit phase. Strictly PE-local reads,
-    // safe to run concurrently with the other PEs' scans.
-    CompletionScan &out = scanScratch[wpos];
-    out.uid = window[wpos];
-    out.slots.clear();
-    const InFlightTrace &t = entryAt(wpos);
-    // Readiness precheck: no issued-but-incomplete slot means nothing
-    // can possibly complete — skip the slot walk.
-    if (t.slotsIssuedNotDone == 0)
-        return;
-    for (size_t i = 0; i < t.slots.size(); ++i) {
-        const DynSlot &d = t.slots[i];
-        // waitingBus gates memory ops between address generation and
-        // their cache-bus grant (the grant schedules the real
-        // completion time).
-        if (d.issued && !d.completed && !d.waitingBus &&
-            d.execDoneAt <= curCycle) {
-            out.slots.push_back(static_cast<int>(i));
-        }
-    }
+    // Each PE issues against its own slots; nothing writes the
+    // register file during issue.
+    timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
+        for (size_t i = 0; i < window.size(); ++i)
+            issueTrace(entryAt(i));
+    });
 }
 
 void
 Processor::phaseCompletions()
 {
-    // Compute: every PE scans its own trace for completion-ready
-    // slots. The per-entry lists concatenated in window order are
-    // exactly the serial scheduler's done-list.
-    const size_t n = window.size();
-    if (scanScratch.size() < n)
-        scanScratch.resize(n);
-    if (metrics) {
-        HiresTimer t;
-        forEachWindowEntry(n, [this](size_t i) { scanCompletions(i); });
-        metrics->computeSeconds += t.seconds();
-    } else {
-        forEachWindowEntry(n, [this](size_t i) { scanCompletions(i); });
-    }
-
-    // Commit: apply completion side effects serially in window order,
-    // revalidating each snapshotted (uid, slot) pair — an earlier
-    // completion's side effects may have squashed or reissued it.
-    for (size_t w = 0; w < n; ++w) {
-        const TraceUid uid = scanScratch[w].uid;
-        for (int slot : scanScratch[w].slots) {
-            InFlightTrace *t = find(uid);
-            if (!t)
+    // Complete ready slots in window order, in place. A consumer that
+    // completeSlot reissues is un-issued by the time the scan reaches
+    // it, and completion never changes the window itself.
+    timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
+        for (size_t w = 0; w < window.size(); ++w) {
+            InFlightTrace &t = entryAt(w);
+            // Readiness precheck: no issued-but-incomplete slot means
+            // nothing can possibly complete — skip the slot walk.
+            if (t.slotsIssuedNotDone == 0)
                 continue;
-            DynSlot &d = t->slots[slot];
-            if (!d.issued || d.completed || d.waitingBus ||
-                d.execDoneAt > curCycle) {
-                continue;
+            for (size_t i = 0; i < t.slots.size(); ++i) {
+                const DynSlot &d = t.slots[i];
+                // waitingBus gates memory ops between address
+                // generation and their cache-bus grant (the grant
+                // schedules the real completion time).
+                if (d.issued && !d.completed && !d.waitingBus &&
+                    d.execDoneAt <= curCycle) {
+                    completeSlot(t, static_cast<int>(i));
+                }
             }
-            completeSlot(*t, slot);
         }
-    }
+    });
 }
 
 void

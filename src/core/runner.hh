@@ -28,14 +28,14 @@ ProcessorStats runModel(const Program &prog, std::string_view model,
 /**
  * Telemetry carried out of one runConfig call when the configuration
  * enables windowed sampling (cfg.metricsInterval > 0): the interval
- * series plus the wall time the cycle loop spent in the parallelizable
- * per-PE compute phases versus everything else. Pure observation —
+ * series plus the wall time the cycle loop spent polling the window
+ * for completions and issue versus everything else. Pure observation —
  * requesting it never changes ProcessorStats (docs/metrics.md).
  */
 struct RunMetrics
 {
     IntervalSeries series;
-    double computeSeconds = 0.0; //!< per-PE compute phases (PR-4 split)
+    double computeSeconds = 0.0; //!< completion + issue polling
     double cycleSeconds = 0.0;   //!< whole cycle loop, compute included
 };
 

@@ -4,19 +4,19 @@
  *
  * Every optimisation PR checks one BENCH_<n>.json into the repo root:
  * a single JSON document holding simulation throughput (cycles/sec and
- * insts/sec) per golden workload, PE-thread scaling on the slowest
- * workload, the capture-once/replay-many speedup, and trace-container
- * compression ratios — plus a `baseline` block carrying the same
+ * insts/sec) per golden workload, the capture-once/replay-many
+ * speedup, and trace-container compression ratios — plus a
+ * `baseline` block carrying the same
  * summary numbers measured on the tree *before* that PR's hot-path
  * work, so the file itself documents the win it claims.
  *
  * The report splits into timing fields (wall seconds, rates, speedups
  * — machine-dependent, never gated) and non-timing fields (cycle
  * counts, retired instructions, identity booleans, trace byte sizes —
- * bit-deterministic by the repo's replay/PE-parallel contracts). CI
- * re-runs the bench and diffs only the non-timing view against the
- * checked-in file, making the report a golden artifact without pinning
- * wall clocks.
+ * bit-deterministic by the repo's replay contract). CI re-runs the
+ * bench and diffs only the non-timing view against the checked-in
+ * file, making the report a golden artifact without pinning wall
+ * clocks.
  */
 
 #ifndef TPROC_HARNESS_BENCH_REPORT_HH
@@ -44,9 +44,6 @@ struct BenchReportOptions
 
     /** Named model (ProcessorConfig::forModel) all runs use. */
     std::string model = "base";
-
-    /** PE-thread counts for the scaling pass (0 = serial scheduler). */
-    std::vector<int> peThreadList = {0, 2, 4};
 
     /** Wall-time repetitions; each pass reports the best rep to damp
      *  scheduler noise. Stats must be identical across reps. */

@@ -1,16 +1,13 @@
 #include "harness/explorer.hh"
 
 #include <algorithm>
-#include <filesystem>
 #include <ostream>
 #include <sstream>
 
 #include "common/random.hh"
 #include "common/timeseries.hh"
-#include "harness/golden.hh"
+#include "harness/oracle.hh"
 #include "harness/sweep.hh"
-#include "replay/capture.hh"
-#include "replay/trace_store.hh"
 
 namespace tproc::harness
 {
@@ -63,25 +60,6 @@ modelFamilies()
         "RET",     "MLB-RET",   "FG",       "FG+MLB-RET",
     };
     return families;
-}
-
-/** Summarize a StatDict divergence ("cycles=102 vs 104, ..."). */
-std::string
-diffSummary(const StatDict &a, const StatDict &b)
-{
-    std::ostringstream os;
-    size_t shown = 0;
-    const auto drift = diffStatDicts(a, b);
-    for (const auto &d : drift) {
-        if (++shown > 6) {
-            os << ", ... " << drift.size() - 6 << " more";
-            break;
-        }
-        if (shown > 1)
-            os << ", ";
-        os << d.key << "=" << d.expected << " vs " << d.actual;
-    }
-    return os.str();
 }
 
 JsonValue
@@ -249,13 +227,13 @@ runExplore(const ExploreOptions &opts_)
         indices.push_back(i);
     }
 
-    // Three oracle runs per shape, one flat batch through the engine.
+    // Two oracle runs per shape, one flat batch through the engine.
     // Results come back in input order whatever the worker count, so
     // the report is scheduler-independent by construction.
     std::vector<SampledShape> shapes;
     std::vector<SweepPoint> batch;
     shapes.reserve(indices.size());
-    batch.reserve(indices.size() * 3);
+    batch.reserve(indices.size() * 2);
     for (uint64_t idx : indices) {
         SampledShape shape = sampleShape(opts.space, opts.seed, idx);
         const std::string name = generatedName(opts.mix, idx);
@@ -268,14 +246,9 @@ runExplore(const ExploreOptions &opts_)
         base.maxInsts = opts.insts;
         base.index = idx;
 
-        SweepPoint serial = base;
-        serial.config.metricsInterval = opts.metricsInterval;
-        serial.labelOverride = name + "/shape-" + std::to_string(idx);
-
-        SweepPoint threaded = base;
-        threaded.config.peThreads = opts.peThreads;
-        threaded.labelOverride =
-            name + "/shape-" + std::to_string(idx) + "(pe-threads)";
+        SweepPoint live = base;
+        live.config.metricsInterval = opts.metricsInterval;
+        live.labelOverride = name + "/shape-" + std::to_string(idx);
 
         SweepPoint replayed = base;
         replayed.traceDir = opts.scratchDir;
@@ -283,8 +256,7 @@ runExplore(const ExploreOptions &opts_)
             name + "/shape-" + std::to_string(idx) + "(replay)";
 
         shapes.push_back(std::move(shape));
-        batch.push_back(std::move(serial));
-        batch.push_back(std::move(threaded));
+        batch.push_back(std::move(live));
         batch.push_back(std::move(replayed));
     }
 
@@ -303,9 +275,8 @@ runExplore(const ExploreOptions &opts_)
     for (size_t k = 0; k < indices.size(); ++k) {
         const uint64_t idx = indices[k];
         const SampledShape &shape = shapes[k];
-        const SweepResult &serial = results[k * 3];
-        const SweepResult &threaded = results[k * 3 + 1];
-        const SweepResult &replayed = results[k * 3 + 2];
+        const SweepResult &live = results[k * 2];
+        const SweepResult &replayed = results[k * 2 + 1];
 
         ExplorePoint p;
         p.index = idx;
@@ -313,70 +284,37 @@ runExplore(const ExploreOptions &opts_)
         p.model = shape.model;
         p.knobs = shape.knobs;
 
-        // The soak harness's oracle ladder, verbatim: first failure
-        // wins, divergences compare the full StatDict bit for bit.
-        if (!serial.ok) {
-            p.kind = "panic";
-            p.message = serial.error;
-        } else if (!threaded.ok) {
-            p.kind = "panic(threaded)";
-            p.message = threaded.error;
-        } else if (!replayed.ok) {
-            p.kind = "panic(replay)";
-            p.message = replayed.error;
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(threaded.stats)) {
-            p.kind = "thread-divergence";
-            p.message = diffSummary(statsToDict(serial.stats),
-                                    statsToDict(threaded.stats));
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(replayed.stats)) {
-            p.kind = "replay-divergence";
-            p.message = diffSummary(statsToDict(serial.stats),
-                                    statsToDict(replayed.stats));
-        } else if (opts.injectDivergenceAt >= 0 &&
-                   static_cast<uint64_t>(opts.injectDivergenceAt) ==
-                       idx) {
-            p.kind = "injected";
-            p.message = "injected divergence (test hook)";
-        }
+        const OracleVerdict verdict = judgeOracles(
+            live, replayed,
+            opts.injectDivergenceAt >= 0 &&
+                static_cast<uint64_t>(opts.injectDivergenceAt) == idx);
+        p.kind = verdict.kind;
+        p.message = verdict.message;
 
-        if (p.kind.empty()) {
+        if (verdict.ok()) {
             p.ok = true;
-            p.stats = statsToDict(serial.stats);
-            p.cliff = computeCliff(serial.stats, serial.series, shape);
+            p.stats = statsToDict(live.stats);
+            p.cliff = computeCliff(live.stats, live.series, shape);
             report.points.push_back(std::move(p));
             continue;
         }
 
         ++report.failures;
-        if (p.kind == "thread-divergence" ||
-            p.kind == "replay-divergence" || p.kind == "injected") {
+        if (verdict.divergence())
             ++report.divergences;
-        }
 
         // Capture-on-failure (the soak contract): land the offending
         // workload as a replay artifact named by the trace-store
         // convention, plus a one-line repro. --point=I re-runs exactly
         // this index because shape sampling is index-keyed.
-        try {
-            std::filesystem::create_directories(opts.failureDir);
-            replay::TraceStore failStore(opts.failureDir);
-            const std::string path = failStore.tracePath(
-                p.workload, opts.seed, 1.0, opts.insts);
-            replay::captureWorkloadTrace(p.workload, opts.seed, 1.0,
-                                         opts.insts, path, true);
-            p.tracePath = path;
-        } catch (const std::exception &e) {
-            p.message +=
-                " [capture failed: " + std::string(e.what()) + "]";
-        }
+        p.tracePath = captureFailure(opts.failureDir, p.workload,
+                                     opts.seed, 1.0, opts.insts,
+                                     p.message);
         {
             std::ostringstream os;
             os << "tproc-explore --shapes=" << opts.shapes
                << " --seed=" << opts.seed << " --mix='" << opts.mix
                << "' --insts=" << opts.insts
-               << " --pe-threads=" << opts.peThreads
                << " --point=" << idx
                << " --failure-dir=" << opts.failureDir;
             p.repro = os.str();
@@ -430,7 +368,6 @@ writeExploreReport(std::ostream &os, const ExploreReport &report,
                               static_cast<double>(report.pointsRun)));
     doc.set("insts", JsonValue::makeNumber(
                          static_cast<double>(opts.insts)));
-    doc.set("pe_threads", JsonValue::makeNumber(opts.peThreads));
     doc.set("metrics_interval",
             JsonValue::makeNumber(
                 static_cast<double>(opts.metricsInterval)));

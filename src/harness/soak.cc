@@ -1,42 +1,15 @@
 #include "harness/soak.hh"
 
 #include <chrono>
-#include <filesystem>
 #include <ostream>
 #include <sstream>
 
-#include "harness/golden.hh"
+#include "harness/oracle.hh"
 #include "harness/sweep.hh"
-#include "replay/capture.hh"
-#include "replay/trace_store.hh"
 #include "workloads/generator.hh"
 
 namespace tproc::harness
 {
-
-namespace
-{
-
-/** Summarize a StatDict divergence ("cycles=102 vs 104, ..."). */
-std::string
-diffSummary(const StatDict &a, const StatDict &b)
-{
-    std::ostringstream os;
-    size_t shown = 0;
-    const auto drift = diffStatDicts(a, b);
-    for (const auto &d : drift) {
-        if (++shown > 6) {
-            os << ", ... " << drift.size() - 6 << " more";
-            break;
-        }
-        if (shown > 1)
-            os << ", ";
-        os << d.key << "=" << d.expected << " vs " << d.actual;
-    }
-    return os.str();
-}
-
-} // anonymous namespace
 
 SoakReport
 runSoak(const SoakOptions &opts_)
@@ -76,99 +49,47 @@ runSoak(const SoakOptions &opts_)
         base.verify = true;
         base.index = i;
 
-        // Oracle 1: live serial, golden-verified (panics and watchdog
-        // barks surface as result errors via fault capture).
-        SweepPoint serialPoint = base;
-        const SweepResult serial = SweepEngine::runPoint(serialPoint);
-
-        // Oracle 2: the same point with PE compute threads — must be
-        // bit-identical to serial by the PR-4 contract.
-        SweepPoint threadedPoint = base;
-        threadedPoint.peThreads = opts.peThreads;
-        const SweepResult threaded =
-            SweepEngine::runPoint(threadedPoint);
-
-        // Oracle 3: capture-once/replay: the run off the recorded
-        // trace must be bit-identical to the live run.
         SweepPoint replayPoint = base;
         replayPoint.traceDir = opts.scratchDir;
+        const SweepResult live = SweepEngine::runPoint(base);
         const SweepResult replayed = SweepEngine::runPoint(replayPoint);
-
         ++report.points;
 
-        std::string kind, message;
-        if (!serial.ok) {
-            kind = "panic";
-            message = serial.error;
-        } else if (!threaded.ok) {
-            kind = "panic(threaded)";
-            message = threaded.error;
-        } else if (!replayed.ok) {
-            kind = "panic(replay)";
-            message = replayed.error;
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(threaded.stats)) {
-            kind = "thread-divergence";
-            message = diffSummary(statsToDict(serial.stats),
-                                  statsToDict(threaded.stats));
-        } else if (statsToDict(serial.stats) !=
-                   statsToDict(replayed.stats)) {
-            kind = "replay-divergence";
-            message = diffSummary(statsToDict(serial.stats),
-                                  statsToDict(replayed.stats));
-        } else if (opts.injectFailureAt >= 0 &&
-                   static_cast<uint64_t>(opts.injectFailureAt) == i) {
-            kind = "injected";
-            message = "injected divergence (test hook)";
-        }
-
-        if (kind.empty()) {
+        const OracleVerdict verdict = judgeOracles(
+            live, replayed,
+            opts.injectFailureAt >= 0 &&
+                static_cast<uint64_t>(opts.injectFailureAt) == i);
+        if (verdict.ok()) {
             if (opts.log) {
                 *opts.log << "soak [" << i << "] " << name << "/"
                           << model << ": ok ipc="
-                          << (serial.stats.cycles
-                                  ? serial.stats.ipc()
-                                  : 0.0)
+                          << (live.stats.cycles ? live.stats.ipc() : 0.0)
                           << "\n";
             }
             continue;
         }
 
-        // Capture-on-failure: land the offending workload as a replay
-        // artifact named by the trace-store convention, so the repro
-        // command below replays the exact captured stream.
         SoakFailure f;
         f.index = i;
         f.workload = name;
         f.model = model;
         f.seed = opts.seed;
-        f.kind = kind;
-        f.message = message;
-        try {
-            std::filesystem::create_directories(opts.failureDir);
-            replay::TraceStore failStore(opts.failureDir);
-            const std::string path =
-                failStore.tracePath(name, opts.seed, base.scale,
-                                    opts.insts);
-            replay::captureWorkloadTrace(name, opts.seed, base.scale,
-                                         opts.insts, path, true);
-            f.tracePath = path;
-        } catch (const std::exception &e) {
-            f.message += " [capture failed: " + std::string(e.what()) +
-                         "]";
-        }
+        f.kind = verdict.kind;
+        f.message = verdict.message;
+        f.tracePath = captureFailure(opts.failureDir, name, opts.seed,
+                                     base.scale, opts.insts, f.message);
         {
             std::ostringstream os;
             os << "tproc-sweep --workloads='" << name << "' --models='"
                << model << "' --seed=" << opts.seed
-               << " --insts=" << opts.insts << " --pe-threads="
-               << opts.peThreads << " --trace-dir=" << opts.failureDir;
+               << " --insts=" << opts.insts
+               << " --trace-dir=" << opts.failureDir;
             f.repro = os.str();
         }
         if (opts.log) {
             *opts.log << "soak FAILURE [" << i << "] " << name << "/"
                       << model << " (seed " << opts.seed
-                      << "): " << kind << ": " << message << "\n";
+                      << "): " << f.kind << ": " << f.message << "\n";
             if (!f.tracePath.empty())
                 *opts.log << "  captured: " << f.tracePath << "\n";
             *opts.log << "  repro: " << f.repro << "\n";

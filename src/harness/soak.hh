@@ -5,8 +5,8 @@
  * failure.
  *
  * Each soak point i builds the generated workload "gen:<mix>:<i>" and
- * runs it three ways: live serial (golden-verified), live with PE
- * compute threads, and replayed from a captured trace. Any panic
+ * runs it through the oracle ladder (harness/oracle.hh): live
+ * (golden-verified) and replayed from a captured trace. Any panic
  * (including a watchdog bark — a structured WatchdogError), any
  * StatDict divergence between the runs, or any verification failure is
  * a soak failure. A failure writes the offending workload as a v2
@@ -50,9 +50,6 @@ struct SoakOptions
     /** Models rotated across points. */
     std::vector<std::string> models = {"base", "FG+MLB-RET"};
 
-    /** PE compute threads for the threaded oracle run. */
-    int peThreads = 4;
-
     /** Where failing workloads are captured as .tpt files. Stays
      *  untouched (not even created) while every point passes. */
     std::string failureDir = "soak-failures";
@@ -77,8 +74,8 @@ struct SoakFailure
     std::string workload;
     std::string model;
     uint64_t seed = 0;
-    /** "panic", "panic(threaded)", "panic(replay)",
-     *  "thread-divergence", "replay-divergence", or "injected". */
+    /** The OracleVerdict kind: "panic", "panic(replay)",
+     *  "replay-divergence", or "injected". */
     std::string kind;
     std::string message;
     /** Captured .tpt artifact ("" if the capture itself failed). */

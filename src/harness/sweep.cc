@@ -376,7 +376,6 @@ SweepEngine::runPoint(const SweepPoint &p)
         } else {
             cfg = ProcessorConfig::forModel(p.model);
             cfg.verifyRetirement = p.verify;
-            cfg.peThreads = p.peThreads;
             cfg.metricsInterval = p.metricsInterval;
         }
         // Watchdog errors carry the point identity so a stalled point

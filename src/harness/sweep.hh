@@ -53,20 +53,9 @@ struct SweepPoint
     bool verify = true;
 
     /**
-     * Intra-simulation PE-compute threads
-     * (ProcessorConfig::peThreads; named models only — an explicit
-     * config carries its own). Stats are bit-identical for every
-     * value by contract (test_pe_parallel- and CI-enforced), so like
-     * traceDir this is an execution detail: it composes with
-     * sharding, resume, replay, and golden gating untouched and is
-     * not serialized into artifacts.
-     */
-    int peThreads = 0;
-
-    /**
      * Windowed-telemetry sampling interval in cycles
      * (ProcessorConfig::metricsInterval; named models only — an
-     * explicit config carries its own). Like peThreads this is an
+     * explicit config carries its own). Like traceDir this is an
      * execution detail, not part of the point's identity: any value
      * leaves stats bit-identical (test_metrics- and CI-enforced) and
      * it is never serialized into journals or artifacts. The sampled

@@ -3,7 +3,7 @@
  * Minimal C++ tokenizer for tproc-lint.
  *
  * The linter's rules must never fire on the contents of a string
- * literal or a comment ("panic(threaded)" in soak.cc is data, not a
+ * literal or a comment ("panic(replay)" in oracle.cc is data, not a
  * call), so every rule runs over this token stream instead of raw
  * text. The lexer understands exactly as much C++ as that requires:
  * line and block comments, string/char literals with escapes, raw

@@ -86,7 +86,6 @@ smallCampaign()
     opts.shapes = 4;
     opts.seed = 11;
     opts.insts = 6000;
-    opts.peThreads = 2;
     return opts;
 }
 

@@ -4,19 +4,15 @@
  * verified slice (golden-model retirement checking panics on any control
  * or data mis-repair); invariants hold at checkpoints; all models retire
  * the same instruction counts for the same program (architectural
- * equivalence); statistics are internally consistent.
+ * equivalence); statistics are internally consistent. Random machine
+ * shapes are pinned by the golden corpus (test_golden.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "core/processor.hh"
 #include "core/runner.hh"
-#include "harness/golden.hh"
-#include "harness/sweep.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc
@@ -122,108 +118,6 @@ TEST(ProcessorProperties, SmallMachineStillCorrect)
     cfg.dcache.sizeBytes = 4 * 1024;
     ProcessorStats s = runConfig(w.program, cfg);
     EXPECT_GT(s.retiredInsts, 5000u);
-}
-
-namespace
-{
-
-/** One verdict of a run under fault capture. Since the starved-bus
- *  retirement fix (retirement waits for the head trace's queued
- *  result-bus broadcasts instead of dropping them), every shape the
- *  random property samples completes; the error field is kept so a
- *  regression reports the diagnostic instead of aborting the binary. */
-struct RunOutcome
-{
-    bool ok = false;
-    StatDict stats;
-    std::string error;
-};
-
-RunOutcome
-tryRunConfig(const Program &prog, const ProcessorConfig &cfg,
-             uint64_t max_insts)
-{
-    RunOutcome out;
-    try {
-        ScopedErrorCapture capture;
-        out.stats = harness::statsToDict(runConfig(prog, cfg, max_insts));
-        out.ok = true;
-    } catch (const std::exception &e) {
-        out.error = e.what();
-    }
-    return out;
-}
-
-} // namespace
-
-TEST(ProcessorProperties, RandomConfigsSerialVsThreadedIdentical)
-{
-    // Randomized differential property for the per-PE parallel cycle
-    // loop: the golden workloads pin the two reference configurations,
-    // this pins the corners — random machine shapes on random
-    // workload/seed pairs must complete (starved buses + short traces
-    // used to deadlock into the watchdog; retirement now drains the
-    // head trace's queued broadcasts first) and behave identically
-    // between the serial scheduler (peThreads=0) and the threaded
-    // compute phases (peThreads=4): bit-identical StatDicts, serial
-    // and threaded alike. Seeded, so a failure reproduces exactly.
-    const char *wls[] = {"compress", "gcc", "go", "jpeg", "li",
-                         "m88ksim", "perl", "vortex"};
-    const char *models[] = {"base", "base(ntb)", "base(fg)",
-                            "base(fg,ntb)", "RET", "MLB-RET", "FG",
-                            "FG+MLB-RET"};
-    Rng rng(0x5eedf00d);
-    int succeeded = 0;
-    for (int round = 0; round < 20; ++round) {
-        const char *wl = wls[rng.below(8)];
-        const char *model = models[rng.below(8)];
-        const uint64_t seed =
-            static_cast<uint64_t>(rng.range(1, 1 << 20));
-        ProcessorConfig cfg = ProcessorConfig::forModel(model);
-        cfg.numPEs = static_cast<int>(1u << rng.below(5));  // 1..16
-        cfg.issuePerPe = static_cast<int>(rng.range(1, 4));
-        cfg.globalBuses = static_cast<int>(rng.range(1, 8));
-        cfg.maxBusesPerPe =
-            static_cast<int>(rng.range(1, cfg.globalBuses));
-        cfg.cacheBuses = static_cast<int>(rng.range(1, 8));
-        cfg.maxCacheBusesPerPe =
-            static_cast<int>(rng.range(1, cfg.cacheBuses));
-        const int len = static_cast<int>(rng.range(8, 32));
-        cfg.selection.maxTraceLen = len;
-        cfg.bit.maxTraceLen = len;
-        // Keep the watchdog short: no sampled shape may need it, and a
-        // reintroduced stall should fail this test fast.
-        cfg.watchdogCycles = 20000;
-
-        Workload w = makeWorkload(wl, seed, 0.01);
-        constexpr uint64_t insts = 8000;
-        cfg.peThreads = 0;
-        const RunOutcome serial = tryRunConfig(w.program, cfg, insts);
-        cfg.peThreads = 4;
-        const RunOutcome threaded = tryRunConfig(w.program, cfg, insts);
-
-        std::ostringstream id;
-        id << "round " << round << " (" << wl << "/" << model
-           << " seed " << seed << ", " << cfg.numPEs << " PEs, issue "
-           << cfg.issuePerPe << ", buses " << cfg.globalBuses << "/"
-           << cfg.cacheBuses << ", len " << len << ")";
-
-        ASSERT_TRUE(serial.ok)
-            << id.str() << ": serial failed: " << serial.error;
-        ASSERT_TRUE(threaded.ok)
-            << id.str() << ": threaded failed: " << threaded.error;
-        ++succeeded;
-        if (serial.stats == threaded.stats)
-            continue;
-        std::ostringstream os;
-        os << id.str() << ":";
-        for (const auto &d :
-             harness::diffStatDicts(serial.stats, threaded.stats))
-            os << " " << d.key << "=" << d.expected << " vs "
-               << d.actual;
-        ADD_FAILURE() << os.str();
-    }
-    EXPECT_EQ(succeeded, 20);
 }
 
 TEST(ProcessorProperties, WatchdogRaisesStructuredError)

@@ -49,7 +49,6 @@ usage(std::ostream &os)
        << "  --insts=N             retired-inst limit per run (100000)\n"
        << "  --seed=N              workload seed (1)\n"
        << "  --model=NAME          processor model (base)\n"
-       << "  --pe-threads=LIST     scaling pass thread counts (0,2,4)\n"
        << "  --reps=N              wall-time reps, best kept (3)\n"
        << "  --index=N             BENCH_<n> sequence number (1)\n"
        << "  --no-verify           skip golden-model verification\n"
@@ -125,14 +124,6 @@ main(int argc, char **argv)
                 return badNumber("--seed", v);
         } else if (cli::parseArg(argv[i], "--model", v)) {
             opts.model = v;
-        } else if (cli::parseArg(argv[i], "--pe-threads", v)) {
-            opts.peThreadList.clear();
-            for (const auto &t : cli::splitList(v)) {
-                int threads;
-                if (!cli::parseInt(t, threads))
-                    return badNumber("--pe-threads", t);
-                opts.peThreadList.push_back(threads);
-            }
         } else if (cli::parseArg(argv[i], "--reps", v)) {
             if (!cli::parseInt(v, opts.reps))
                 return badNumber("--reps", v);

@@ -3,15 +3,14 @@
  * tproc-explore: config-space exploration CLI. Deterministically
  * samples N machine shapes from the declarative ShapeSpace knob
  * ranges, pairs shape i with generated workload "gen:<mix>:<i>", and
- * runs every point through the three standing oracles (live serial
- * golden-verified, PE-parallel, replay-from-capture) with
- * capture-on-failure and cliff detection (src/harness/explorer.hh,
- * docs/explorer.md).
+ * runs every point through the two standing oracles (live
+ * golden-verified, replay-from-capture) with capture-on-failure and
+ * cliff detection (src/harness/explorer.hh, docs/explorer.md).
  *
  * Usage:
  *   tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC] [--insts=N]
- *                 [--pe-threads=P] [--threads=T] [--shard=I/N]
- *                 [--point=I] [--failure-dir=DIR] [--scratch-dir=DIR]
+ *                 [--threads=T] [--shard=I/N] [--point=I]
+ *                 [--failure-dir=DIR] [--scratch-dir=DIR]
  *                 [--metrics-interval=N] [--frontier=K] [--json=FILE]
  *                 [--quiet]
  *
@@ -48,8 +47,7 @@ void
 usage(std::ostream &os)
 {
     os << "usage: tproc-explore [--shapes=N] [--seed=S] [--mix=SPEC]\n"
-          "                     [--insts=N] [--pe-threads=P] "
-          "[--threads=T]\n"
+          "                     [--insts=N] [--threads=T]\n"
           "                     [--shard=I/N] [--point=I]\n"
           "                     [--failure-dir=DIR] "
           "[--scratch-dir=DIR]\n"
@@ -98,11 +96,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--insts", v)) {
             if (!cli::parseU64(v, opts.insts) || opts.insts == 0)
                 return badNumber("--insts", v);
-        } else if (parseArg(argv[i], "--pe-threads", v)) {
-            int p = 0;
-            if (!cli::parseInt(v, p) || p == 0)
-                return badNumber("--pe-threads", v);
-            opts.peThreads = p;
         } else if (parseArg(argv[i], "--threads", v)) {
             if (!cli::parseU32(v, opts.threads))
                 return badNumber("--threads", v);

@@ -6,7 +6,7 @@
  *
  * Sweep usage:
  *   tproc-sweep [--workloads=a,b,...] [--models=a,b,...] [--insts=N]
- *               [--seed=S] [--threads=T] [--pe-threads=P] [--shard=I/N]
+ *               [--seed=S] [--threads=T] [--shard=I/N]
  *               [--resume=FILE] [--retries=R] [--json=FILE]
  *               [--merged-json=FILE] [--trace-dir=DIR] [--golden=DIR]
  *               [--write-golden=DIR] [--metrics-json=FILE]
@@ -15,7 +15,7 @@
  *
  * Soak usage:
  *   tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]
- *               [--pattern-mix=SPEC] [--insts=N] [--pe-threads=P]
+ *               [--pattern-mix=SPEC] [--insts=N]
  *               [--failure-dir=DIR] [--models=a,b,...] [--quiet]
  *
  * Merge usage:
@@ -26,13 +26,13 @@
  * comes from --pattern-mix (default "all"), the data seed from
  * --gen-seed (default --seed). Generated points are ordinary
  * SweepPoints — identity is the name plus seed — so they compose with
- * --shard/--resume/--trace-dir/--golden/--pe-threads/--metrics-json
- * unchanged, and two runs with the same flags are bit-identical.
+ * --shard/--resume/--trace-dir/--golden/--metrics-json unchanged, and
+ * two runs with the same flags are bit-identical.
  *
  * --soak runs an endless seeded stream of generated workloads through
- * the standing oracles (live==replay, serial==PE-parallel, golden
- * verification) until the bound is hit: "--soak=45s" is a wall-time
- * bound, "--soak=200" a point count, bare "--soak" 30 seconds. Any
+ * the standing oracles (golden verification, live==replay) until the
+ * bound is hit: "--soak=45s" is a wall-time bound, "--soak=200" a
+ * point count, bare "--soak" 30 seconds. Any
  * panic, watchdog bark, or divergence is captured as a v2 .tpt into
  * --failure-dir (default soak-failures/, left untouched while points
  * pass) together with a printed one-line repro command; exit status is
@@ -43,11 +43,9 @@
  * reported with the valid names and exits 2 (the usage convention
  * shared with tproc-bench).
  *
- * --threads fans points across engine workers; --pe-threads=P
- * additionally parallelizes INSIDE each simulation (P executors for
- * the per-PE compute phases, ProcessorConfig::peThreads). Stats are
- * bit-identical for every P by contract, so it composes with every
- * other flag; the default 0 keeps the legacy serial cycle loop.
+ * --threads fans points across engine workers; each simulation itself
+ * runs one serial cycle loop. Stats are bit-identical for every
+ * --threads value.
  *
  * --trace-dir=DIR runs every point in capture-once/replay-many mode:
  * the first point to touch a workload records its architectural trace
@@ -117,9 +115,8 @@ usage(std::ostream &os)
 {
     os << "usage: tproc-sweep [--workloads=a,b,...] [--models=a,b,...]\n"
           "                   [--insts=N] [--seed=S] [--threads=T]\n"
-          "                   [--pe-threads=P] [--shard=I/N] "
-          "[--resume=FILE]\n"
-          "                   [--retries=R]\n"
+          "                   [--shard=I/N] [--resume=FILE] "
+          "[--retries=R]\n"
           "                   [--json=FILE] [--merged-json=FILE]\n"
           "                   [--trace-dir=DIR] [--golden=DIR]\n"
           "                   [--write-golden=DIR] "
@@ -129,8 +126,7 @@ usage(std::ostream &os)
           "                   [--generate=N] [--gen-seed=S] "
           "[--pattern-mix=SPEC]\n"
           "       tproc-sweep --soak[=SECONDSs|POINTS] [--gen-seed=S]\n"
-          "                   [--pattern-mix=SPEC] [--insts=N] "
-          "[--pe-threads=P]\n"
+          "                   [--pattern-mix=SPEC] [--insts=N]\n"
           "                   [--failure-dir=DIR] [--models=a,b,...] "
           "[--quiet]\n"
           "       tproc-sweep merge [--out=FILE] a.json b.json ...\n";
@@ -263,7 +259,6 @@ main(int argc, char **argv)
     uint64_t insts = 400000;
     uint64_t seed = 1;
     unsigned threads = 0;
-    unsigned pe_threads = 0;
     unsigned retries = 1;
     unsigned shard = 0;
     unsigned shard_count = 0;
@@ -310,9 +305,6 @@ main(int argc, char **argv)
         } else if (parseArg(argv[i], "--threads", v)) {
             if (!cli::parseU32(v, threads))
                 return badNumber("--threads", v);
-        } else if (parseArg(argv[i], "--pe-threads", v)) {
-            if (!cli::parseU32(v, pe_threads))
-                return badNumber("--pe-threads", v);
         } else if (parseArg(argv[i], "--retries", v)) {
             if (!cli::parseU32(v, retries))
                 return badNumber("--retries", v);
@@ -452,7 +444,6 @@ main(int argc, char **argv)
         sopts.maxSeconds = soak_seconds;
         sopts.insts = insts_set ? insts : 60000;
         sopts.models = models;
-        sopts.peThreads = pe_threads ? static_cast<int>(pe_threads) : 4;
         sopts.failureDir = failure_dir;
         sopts.log = quiet ? nullptr : &std::cerr;
         const harness::SoakReport rep = harness::runSoak(sopts);
@@ -500,16 +491,12 @@ main(int argc, char **argv)
 
     auto grid =
         harness::crossPoints(workloads, models, seed, insts, verify);
-    // Replay mode and intra-PE parallelism are per-point execution
-    // details: indices, seeds, and stats are identical to a live
-    // serial run, so both compose with sharding and resume untouched.
+    // Replay mode and telemetry are per-point execution details:
+    // indices, seeds, and stats are identical to a plain live run, so
+    // both compose with sharding and resume untouched.
     if (!trace_dir.empty()) {
         for (auto &p : grid)
             p.traceDir = trace_dir;
-    }
-    if (pe_threads) {
-        for (auto &p : grid)
-            p.peThreads = static_cast<int>(pe_threads);
     }
     if (metrics_interval) {
         for (auto &p : grid)
@@ -591,8 +578,6 @@ main(int argc, char **argv)
         std::cerr << ", " << engine.effectiveThreads(points.size())
                   << " threads, " << insts << " insts/point, seed "
                   << seed << (verify ? ", verified" : "");
-        if (pe_threads)
-            std::cerr << ", " << pe_threads << " PE threads/point";
         std::cerr << "\n";
     }
 
