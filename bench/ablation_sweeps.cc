@@ -1,9 +1,10 @@
 /**
  * @file
  * Ablation sweeps beyond the paper's tables: sensitivity of the control
- * independence gain to the design points DESIGN.md calls out —
- * PE count (window size), maximum trace length, and the CGCI
- * re-convergence bound. Run on the two most CI-sensitive workloads.
+ * independence gain to three design points — PE count (window size),
+ * maximum trace length, and the CGCI re-convergence bound. Run on the
+ * two most CI-sensitive workload analogs (docs/workloads.md says what
+ * their branch profiles pin).
  *
  * All (configuration, baseline) pairs are enqueued as explicit-config
  * sweep points and fanned across the harness engine in one batch; the

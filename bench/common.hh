@@ -3,9 +3,9 @@
  * Shared helpers for the table/figure regeneration drivers.
  *
  * Every driver prints the paper's reference numbers next to the measured
- * ones; the workloads are synthetic SPEC95 analogs (see DESIGN.md), so
- * the *shape* — who wins, by roughly what factor, where crossovers fall —
- * is the claim, not the absolute values.
+ * ones; the workloads are synthetic SPEC95 analogs (see
+ * docs/workloads.md), so the *shape* — who wins, by roughly what factor,
+ * where crossovers fall — is the claim, not the absolute values.
  *
  * All drivers share one BenchOptions instance, filled from command-line
  * flags by parseBenchArgs.
@@ -45,23 +45,14 @@ struct BenchOptions
     /** Workload generation seed (--seed). */
     uint64_t seed = 1;
 
-    /** Golden-model verification (--verify=0/1; on by default: it is
-     *  cheap and a silent wrong-path bug would invalidate the
-     *  numbers). */
+    /** Golden-model verification (on by default, off with
+     *  --no-verify: it is cheap and a silent wrong-path bug would
+     *  invalidate the numbers). */
     bool verify = true;
 
     /** Sweep-engine worker threads, 0 = hardware concurrency
      *  (--threads); 1 restores the old serial behaviour bit for bit. */
     unsigned threads = 0;
-
-    /** Clean re-runs granted to a failed point before its failure
-     *  stands, microreboot-style (--retries). */
-    unsigned retries = 0;
-
-    /** Batch tiling factor for bench_sweep_scaling (--repeat): more
-     *  points amortize thread startup when the per-point runtime is
-     *  small. */
-    unsigned repeat = 1;
 
     /** Per-point sweep-results JSON artifact path (--json); empty =
      *  driver default or none. */
@@ -109,20 +100,6 @@ applyBenchArg(BenchOptions &opts, const char *arg,
         return parseUnsigned(v, opts.seed);
     if (const char *v = value("--threads"))
         return parseUnsigned(v, opts.threads);
-    if (const char *v = value("--retries"))
-        return parseUnsigned(v, opts.retries);
-    if (const char *v = value("--repeat"))
-        return parseUnsigned(v, opts.repeat);
-    if (const char *v = value("--verify")) {
-        uint64_t b;
-        if (!tproc::parseU64(v, b)) {
-            if (error)
-                *error = std::string("malformed number in '") + arg + "'";
-            return true;    // recognized, but bad
-        }
-        opts.verify = b != 0;
-        return true;
-    }
     if (std::strcmp(arg, "--no-verify") == 0) {
         opts.verify = false;
         return true;
@@ -167,11 +144,8 @@ printBenchUsage(const char *argv0, std::ostream &os)
        << "  --insts=N       instructions per benchmark per config ("
        << BenchOptions().insts << ")\n"
        << "  --seed=N        workload generation seed (1)\n"
-       << "  --verify=0|1    golden-model retirement verification (1)\n"
-       << "  --no-verify     shorthand for --verify=0\n"
+       << "  --no-verify     skip golden-model retirement verification\n"
        << "  --threads=N     sweep worker threads, 0 = hw concurrency\n"
-       << "  --retries=N     clean re-runs for a failed point (0)\n"
-       << "  --repeat=N      batch tiling factor, scaling bench (1)\n"
        << "  --json=FILE     write per-point sweep results JSON\n";
 }
 
@@ -207,7 +181,6 @@ makeEngine()
     harness::SweepEngine::Options opts;
     opts.threads = options().threads;
     opts.progress = true;
-    opts.retries = options().retries;
     return harness::SweepEngine(opts);
 }
 
@@ -241,9 +214,8 @@ runSweep(std::vector<harness::SweepPoint> points)
     for (const auto &r : results) {
         if (!r.ok) {
             std::cerr << "bench: point " << r.point.index << " "
-                      << r.point.label() << " failed after " << r.attempts
-                      << (r.attempts == 1 ? " attempt: " : " attempts: ")
-                      << r.error << '\n';
+                      << r.point.label() << " failed: " << r.error
+                      << '\n';
             ++failed;
         }
     }
@@ -276,8 +248,8 @@ printHeaderNote(const char *what)
     std::cout << what << "\n"
               << "(synthetic SPEC95-analog workloads; "
               << options().insts << " instructions per run, seed "
-              << options().seed << "; see DESIGN.md for the substitution "
-              << "rationale)\n\n";
+              << options().seed << "; see docs/workloads.md for the "
+              << "substitution rationale)\n\n";
 }
 
 } // namespace tproc::bench

@@ -1,37 +1,7 @@
 #include "arb/arb.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
-
-#include "common/parse.hh"
-
-namespace
-{
-
-uint64_t
-watchAddr()
-{
-    // Watch nothing (~0) when unset; a malformed address is ignored
-    // rather than silently watching address 0.
-    static uint64_t a = [] {
-        uint64_t addr = ~0ull;
-        if (!tproc::parseEnvU64("TPROC_WATCH_ADDR", addr))
-            fprintf(stderr, "warning: malformed TPROC_WATCH_ADDR\n");
-        return addr;
-    }();
-    return a;
-}
-
-#define WATCH(addr, ...)                                                 \
-    do {                                                                 \
-        if ((addr) == watchAddr()) {                                     \
-            fprintf(stderr, "ARB " __VA_ARGS__);                         \
-            fprintf(stderr, "\n");                                       \
-        }                                                                \
-    } while (0)
-
-} // namespace
 
 #include "common/logging.hh"
 
@@ -66,8 +36,6 @@ Arb::storePerform(TraceUid uid, int slot, Addr addr, int64_t value)
     if (idx != storeIndex.end() && idx->second != addr)
         storeUndo(uid, slot);
 
-    WATCH(addr, "storePerform uid=%llu slot=%d val=%lld",
-          (unsigned long long)uid, slot, (long long)value);
     auto &vers = stores[addr];
     auto it = std::find_if(vers.begin(), vers.end(), [&](const auto &v) {
         return v.uid == uid && v.slot == slot;
@@ -111,7 +79,6 @@ Arb::storeUndo(TraceUid uid, int slot)
         return;     // store never performed (nothing to undo)
     Addr addr = idx->second;
     storeIndex.erase(idx);
-    WATCH(addr, "storeUndo uid=%llu slot=%d", (unsigned long long)uid, slot);
 
     auto &vers = stores[addr];
     vers.erase(std::remove_if(vers.begin(), vers.end(),
@@ -152,8 +119,6 @@ Arb::commitStore(TraceUid uid, int slot, SparseMemory &mem)
         return v.uid == uid && v.slot == slot;
     });
     panic_if(it == vers.end(), "commitStore: version missing");
-    WATCH(addr, "commitStore uid=%llu slot=%d val=%lld",
-          (unsigned long long)uid, slot, (long long)it->value);
     mem.write(addr, it->value);
     vers.erase(it);
     if (vers.empty())
@@ -205,10 +170,6 @@ Arb::loadAccess(TraceUid uid, int slot, Addr addr, const SparseMemory &mem)
     if (!res.fromStore)
         res.value = mem.read(addr);
 
-    WATCH(addr, "loadAccess uid=%llu slot=%d -> val=%lld fromStore=%d "
-          "(src %llu/%d)", (unsigned long long)uid, slot,
-          (long long)res.value, res.fromStore ? 1 : 0,
-          (unsigned long long)res.src.uid, res.src.slot);
     loads[addr].push_back({uid, slot, res.src, res.value});
     loadIndex[{uid, slot}] = addr;
     return res;

@@ -62,14 +62,6 @@ parseInt(const std::string &v, int &out)
     return true;
 }
 
-/**
- * Environment-variable override: leaves `out` untouched when `name`
- * is unset, parses strictly when set. @return false only when the
- * variable is set but malformed (callers warn or fall back; a typo'd
- * knob must never be a silent zero).
- */
-bool parseEnvU64(const char *name, uint64_t &out);
-
 } // namespace tproc
 
 #endif // TPROC_COMMON_PARSE_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/hires_timer.hh"
 #include "common/logging.hh"
@@ -13,23 +12,6 @@ namespace tproc
 
 namespace
 {
-
-bool
-traceRecovery()
-{
-    static bool on = std::getenv("TPROC_TRACE_RECOVERY") != nullptr;
-    return on;
-}
-
-#define RLOG(...)                                                            \
-    do {                                                                     \
-        if (traceRecovery()) {                                               \
-            std::fprintf(stderr, "[%llu] ",                                  \
-                         static_cast<unsigned long long>(curCycle));         \
-            std::fprintf(stderr, __VA_ARGS__);                               \
-            std::fprintf(stderr, "\n");                                      \
-        }                                                                    \
-    } while (0)
 
 /** Run fn, adding its wall seconds to *acc when telemetry is on (acc
  *  non-null); with telemetry off the clock is never read. */
@@ -610,17 +592,6 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
     d.resetDynamic();
     d.earliestIssue = std::max(d.earliestIssue, earliest);
     ++stats.reissuedSlots;
-
-    if (traceRecovery() && d.issueCount > 200 && d.issueCount % 200 == 0) {
-        fprintf(stderr,
-                "HOT reissue uid=%llu pos=%lld slot=%d %s ic=%u "
-                "dep=(%d,%d) src=(%u,%u) lastVal=%lld\n",
-                static_cast<unsigned long long>(t.uid),
-                static_cast<long long>(t.logicalPos), slot,
-                disassemble(d.pc, d.inst).c_str(), d.issueCount, d.dep1,
-                d.dep2, d.src1, d.src2,
-                static_cast<long long>(d.lastValue));
-    }
 }
 
 void
@@ -852,9 +823,6 @@ Processor::redirectAfterTrace(InFlightTrace &t, Cycle resume_at)
     int idx = windowIndex(t.uid);
     PathHistory h = historyUpTo(idx);
     const Trace &tr = *t.trace;
-    RLOG("redirectAfter uid=%llu end=%s fallthrough=%lld",
-         static_cast<unsigned long long>(t.uid), traceEndName(tr.end),
-         static_cast<long long>(tr.fallthroughPc));
 
     lastDispatchedUid = t.uid;
     if (tr.end == TraceEnd::HALT) {
@@ -949,10 +917,6 @@ Processor::recoverCond(InFlightTrace &t, int slot)
         exitInsertModeAbandon();
 
     int t_idx = windowIndex(t.uid);
-    RLOG("recoverCond uid=%llu idx=%d slot=%d pc=%llu corr=%d cov=%d",
-         static_cast<unsigned long long>(t.uid), t_idx, slot,
-         static_cast<unsigned long long>(branch.pc), corrected ? 1 : 0,
-         covered ? 1 : 0);
 
     // Choose the CGCI re-convergent trace from the pre-repair window.
     int ci_idx = covered ? -1 : findCgciTarget(t_idx, branch);

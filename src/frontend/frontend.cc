@@ -1,22 +1,8 @@
 #include "frontend/frontend.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
-
-namespace
-{
-
-bool
-flog()
-{
-    static bool on = std::getenv("TPROC_TRACE_RECOVERY") != nullptr;
-    return on;
-}
-
-} // namespace
 
 namespace tproc
 {
@@ -93,9 +79,6 @@ Frontend::cycle(Cycle now)
         // indirect branch.
         Addr t = bpred.predictTarget(lastIndirectPc);
         if (t == invalidAddr) {
-            if (flog())
-                fprintf(stderr, "FE cycle-stall indirect pc=%lld\n",
-                        (long long)lastIndirectPc);
             waitingForIndirect = true;
             return;
         }
@@ -136,14 +119,6 @@ Frontend::cycle(Cycle now)
     } else if (tr.fallthroughPc != invalidAddr) {
         nextPc = tr.fallthroughPc;
     } else {
-        if (flog())
-            fprintf(stderr, "FE supplied indirect-ending trace start=%lld"
-                    " lastpc=%lld end=%s slots=%zu accrued=%d op=%s "
-                    "frompred=%d hit=%d\n", (long long)tr.id.startPc,
-                    (long long)tr.slots.back().pc, traceEndName(tr.end),
-                    tr.slots.size(), tr.accruedLen,
-                    opcodeName(tr.slots.back().inst.op),
-                    pt.fromPredictor ? 1 : 0, pt.tcacheHit ? 1 : 0);
         nextPc = invalidAddr;
         lastIndirectPc = tr.slots.back().pc;
     }
@@ -164,10 +139,6 @@ void
 Frontend::redirect(const PathHistory &new_hist, Addr next_pc,
                    Addr last_indirect_pc, Cycle resume_at)
 {
-    if (flog())
-        fprintf(stderr, "FE redirect next=%lld ind=%lld resume=%llu\n",
-                (long long)next_pc, (long long)last_indirect_pc,
-                (unsigned long long)resume_at);
     queue.clear();
     hist = new_hist;
     haltSeen = false;

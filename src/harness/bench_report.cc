@@ -66,6 +66,34 @@ sameStats(const ProcessorStats &a, const ProcessorStats &b)
     return statsToDict(a) == statsToDict(b);
 }
 
+bool
+sameStats(const std::vector<SweepResult> &a,
+          const std::vector<SweepResult> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const SweepResult &x, const SweepResult &y) {
+                          return sameStats(x.stats, y.stats);
+                      });
+}
+
+/** Run a point batch on engine and time it. Like bestOf, a failed
+ *  point throws. */
+std::vector<SweepResult>
+timedGrid(SweepEngine &engine, const std::vector<SweepPoint> &points,
+          double &seconds)
+{
+    HiresTimer timer;
+    std::vector<SweepResult> results = engine.run(points);
+    seconds = timer.seconds();
+    for (const SweepResult &r : results) {
+        if (!r.ok) {
+            throw std::runtime_error("bench point " + r.point.label() +
+                                     " failed: " + r.error);
+        }
+    }
+    return results;
+}
+
 JsonValue
 num(double v)
 {
@@ -80,14 +108,19 @@ rate(double count, double seconds)
     return seconds > 0.0 ? count / seconds : 0.0;
 }
 
+/** Keys dropped from the non-timing view, wherever they appear.
+ *  live_seconds and warm_seconds are no longer written; they stay
+ *  listed so older BENCH files keep a comparable view. */
 const std::vector<std::string> &
 timingKeys()
 {
     static const std::vector<std::string> keys = {
-        "wall_seconds",  "cycles_per_sec",     "insts_per_sec",
-        "live_seconds",  "cold_seconds",       "warm_seconds",
-        "speedup",       "total_wall_seconds", "baseline",
-        "host",          "phases",
+        "wall_seconds",       "cycles_per_sec",   "insts_per_sec",
+        "live_seconds",       "cold_seconds",     "warm_seconds",
+        "serial_seconds",     "parallel_seconds", "replay_seconds",
+        "speedup",            "replay_speedup",   "points_per_sec",
+        "total_wall_seconds", "baseline",         "host",
+        "phases",
     };
     return keys;
 }
@@ -292,30 +325,70 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
         return p;
     };
 
-    // Cold pass captures each workload's trace (timed once — the
-    // capture cost is inherently one-shot); warm pass is the steady
-    // state, best of reps like the live pass.
+    // Cold pass: capture each workload's trace into trace_dir and
+    // replay it once. Timed once; the capture cost is one-shot.
     double cold_total_s = 0.0;
-    double warm_total_s = 0.0;
     bool replay_identical = true;
     for (size_t i = 0; i < names.size(); ++i) {
-        say("  replay " + names[i] + " (cold + " +
-            std::to_string(opts.reps) + " warm reps)...");
+        say("  replay " + names[i] + " (cold capture)...");
         Timed cold = bestOf(replayPoint(names[i]), 1);
-        Timed warm = bestOf(replayPoint(names[i]), opts.reps);
         cold_total_s += cold.wall;
-        warm_total_s += warm.wall;
-        replay_identical = replay_identical &&
-            sameStats(cold.stats, live[i].stats) &&
-            sameStats(warm.stats, live[i].stats) && warm.stable;
+        replay_identical =
+            replay_identical && sameStats(cold.stats, live[i].stats);
     }
+
+    // Sweep grid: the paper's headline comparison (Figure 10), every
+    // workload on the base machine and on FG+MLB-RET. It runs live on
+    // one thread, live on every hardware thread, and replayed from the
+    // traces the cold pass captured (a trace's identity does not
+    // depend on the model). That replay is the report's replay
+    // measurement.
+    const std::vector<std::string> grid_models = {"base", "FG+MLB-RET"};
+    const std::vector<SweepPoint> grid = crossPoints(
+        names, grid_models, opts.seed, opts.insts, opts.verify);
+    std::vector<SweepPoint> replay_grid = grid;
+    for (SweepPoint &p : replay_grid)
+        p.traceDir = trace_dir.string();
+    SweepEngine::Options serial_opts;
+    serial_opts.threads = 1;
+    SweepEngine serial(serial_opts);
+    SweepEngine parallel;
+    const unsigned grid_threads = parallel.effectiveThreads(grid.size());
+    double serial_s = 0.0;
+    double parallel_s = 0.0;
+    double replay_s = 0.0;
+    say("  sweep grid: " + std::to_string(grid.size()) +
+        " points, serial...");
+    const auto grid_serial = timedGrid(serial, grid, serial_s);
+    say("  sweep grid: parallel (" + std::to_string(grid_threads) +
+        " threads)...");
+    const auto grid_parallel = timedGrid(parallel, grid, parallel_s);
+    say("  sweep grid: replay (" + std::to_string(grid_threads) +
+        " threads)...");
+    const auto grid_replay = timedGrid(parallel, replay_grid, replay_s);
+    const bool sweep_parallel_identical =
+        sameStats(grid_serial, grid_parallel);
+    replay_identical =
+        replay_identical && sameStats(grid_serial, grid_replay);
+
     JsonValue replay = JsonValue::makeObject();
     replay.set("workloads", num(static_cast<double>(names.size())));
-    replay.set("live_seconds", num(live_total_s));
     replay.set("cold_seconds", num(cold_total_s));
-    replay.set("warm_seconds", num(warm_total_s));
-    replay.set("speedup", num(rate(live_total_s, warm_total_s)));
     replay.set("identical", JsonValue::makeBool(replay_identical));
+
+    JsonValue sweep = JsonValue::makeObject();
+    sweep.set("points", num(static_cast<double>(grid.size())));
+    JsonValue models = JsonValue::makeArray();
+    for (const std::string &m : grid_models)
+        models.push(JsonValue::makeString(m));
+    sweep.set("models", std::move(models));
+    sweep.set("serial_seconds", num(serial_s));
+    sweep.set("parallel_seconds", num(parallel_s));
+    sweep.set("replay_seconds", num(replay_s));
+    sweep.set("speedup", num(rate(serial_s, parallel_s)));
+    sweep.set("replay_speedup", num(rate(parallel_s, replay_s)));
+    sweep.set("points_per_sec",
+              num(rate(static_cast<double>(grid.size()), parallel_s)));
 
     // Trace-container accounting: the (compressed, v2) files the replay
     // passes ran off, against freshly captured uncompressed v1 twins.
@@ -372,10 +445,12 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     JsonValue host = JsonValue::makeObject();
     host.set("hardware_concurrency",
              num(std::thread::hardware_concurrency()));
+    host.set("sweep_threads", num(grid_threads));
     report.set("host", std::move(host));
 
     report.set("workloads", std::move(workloads));
     report.set("replay", std::move(replay));
+    report.set("sweep", std::move(sweep));
     report.set("trace_compression", std::move(compression));
 
     JsonValue summary = JsonValue::makeObject();
@@ -394,6 +469,8 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
                  JsonValue::makeBool(stats_stable));
     identity.set("replay_identical",
                  JsonValue::makeBool(replay_identical));
+    identity.set("sweep_parallel_identical",
+                 JsonValue::makeBool(sweep_parallel_identical));
     report.set("identity", std::move(identity));
 
     // Where this run's wall clock went. "phases" is on the timing

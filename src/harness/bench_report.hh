@@ -4,19 +4,22 @@
  *
  * Every optimisation PR checks one BENCH_<n>.json into the repo root:
  * a single JSON document holding simulation throughput (cycles/sec and
- * insts/sec) per golden workload, the capture-once/replay-many
- * speedup, and trace-container compression ratios — plus a
- * `baseline` block carrying the same
- * summary numbers measured on the tree *before* that PR's hot-path
- * work, so the file itself documents the win it claims.
+ * insts/sec) per golden workload, the sweep grid (every workload on
+ * base and FG+MLB-RET, run live serially, live in parallel and
+ * replayed from captured traces), and trace-container compression
+ * ratios — plus a `baseline` block carrying the same summary numbers
+ * measured on the tree *before* that PR's hot-path work, so the file
+ * itself documents the win it claims.
  *
- * The report splits into timing fields (wall seconds, rates, speedups
- * — machine-dependent, never gated) and non-timing fields (cycle
- * counts, retired instructions, identity booleans, trace byte sizes —
- * bit-deterministic by the repo's replay contract). CI re-runs the
- * bench and diffs only the non-timing view against the checked-in
- * file, making the report a golden artifact without pinning wall
- * clocks.
+ * The report splits into timing fields (wall seconds, rates, speedups,
+ * thread counts — machine-dependent, never diffed) and non-timing
+ * fields (cycle counts, retired instructions, grid shape, identity
+ * booleans, trace byte sizes — bit-deterministic by the repo's replay
+ * contract). The identity booleans are the hard gates: stats stable
+ * across reps, replay == live (per workload and over the grid), and
+ * parallel grid == serial grid. CI re-runs the bench and diffs only
+ * the non-timing view against the checked-in file, making the report
+ * a golden artifact without pinning wall clocks.
  */
 
 #ifndef TPROC_HARNESS_BENCH_REPORT_HH
@@ -42,25 +45,27 @@ struct BenchReportOptions
     /** Workload generation seed. */
     uint64_t seed = 1;
 
-    /** Named model (ProcessorConfig::forModel) all runs use. */
+    /** Named model (ProcessorConfig::forModel) of the per-workload
+     *  runs. The sweep grid always covers base and FG+MLB-RET. */
     std::string model = "base";
 
-    /** Wall-time repetitions; each pass reports the best rep to damp
-     *  scheduler noise. Stats must be identical across reps. */
+    /** Wall-time repetitions of the live pass, which reports the best
+     *  rep to damp scheduler noise. Stats must be identical across
+     *  reps. */
     int reps = 3;
 
     /** Sequence number of the BENCH_<n>.json this run produces. */
     unsigned benchIndex = 1;
 
-    /** Golden-model retirement verification during the live pass. */
+    /** Golden-model retirement verification in every pass. */
     bool verify = true;
 
-    /** Trace directory for the replay passes; empty = fresh temp dir,
-     *  removed afterwards. */
+    /** Trace directory for the replay passes (cold capture, then the
+     *  grid replay); empty = fresh temp dir, removed afterwards. */
     std::string traceDir;
 
     /**
-     * Windowed-telemetry sampling interval for every bench point
+     * Windowed-telemetry sampling interval for the live pass
      * (ProcessorConfig::metricsInterval; 0 = off). Never part of the
      * report's non-timing identity: stats are bit-identical either way
      * by the telemetry contract, and the sampled series only leaves

@@ -8,8 +8,8 @@
  * branch profile from Table 5: the fraction of FGCI-embeddable branches
  * and their region sizes, the share of other forward branches, the share
  * and predictability of backward (loop) branches, and the overall
- * misprediction rate. DESIGN.md discusses why this substitution preserves
- * the evaluation's behaviour.
+ * misprediction rate. docs/workloads.md discusses why this substitution
+ * preserves the evaluation's behaviour.
  */
 
 #ifndef TPROC_WORKLOADS_WORKLOADS_HH

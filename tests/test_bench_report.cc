@@ -1,10 +1,11 @@
 /**
  * @file
- * Bench-report contract tests: BENCH_*.json schema presence, JSON
- * round-trip through the common parser/printer, non-timing determinism
- * across runs, options recovery from a report, baseline attachment,
- * and the BenchOptions flag parser + StatDict counter handles that
- * front the redesigned bench API.
+ * Bench-report contract tests: BENCH_*.json schema presence, the sweep
+ * grid block and its identity gates, JSON round-trip through the
+ * common parser/printer, non-timing determinism across runs, options
+ * recovery from a report, baseline attachment, and the BenchOptions
+ * flag parser + StatDict counter handles that front the redesigned
+ * bench API.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +54,7 @@ TEST(BenchReport, SchemaFieldsPresent)
     ASSERT_TRUE(r.find("schema"));
     EXPECT_EQ(r.at("schema").asString(), "tproc-bench-report-v1");
     for (const char *key :
-         {"bench_index", "config", "host", "workloads", "replay",
+         {"bench_index", "config", "host", "workloads", "replay", "sweep",
           "trace_compression", "summary", "identity"}) {
         EXPECT_TRUE(r.find(key)) << "missing top-level key: " << key;
     }
@@ -75,11 +76,53 @@ TEST(BenchReport, SchemaFieldsPresent)
     EXPECT_EQ(r.at("summary").at("total_cycles").asNumber(), cycle_sum);
 
     const JsonValue &identity = r.at("identity");
-    for (const char *key : {"stats_stable_across_reps", "replay_identical"}) {
+    for (const char *key : {"stats_stable_across_reps", "replay_identical",
+                            "sweep_parallel_identical"}) {
         ASSERT_TRUE(identity.find(key));
         EXPECT_TRUE(identity.at(key).asBool())
             << "identity gate not green: " << key;
     }
+}
+
+TEST(BenchReport, SweepGridCoversBothModels)
+{
+    const JsonValue &r = tinyReport();
+    const JsonValue &sweep = r.at("sweep");
+    const double workloads =
+        static_cast<double>(r.at("workloads").asArray().size());
+    EXPECT_EQ(sweep.at("points").asNumber(), 2 * workloads);
+    const auto &models = sweep.at("models").asArray();
+    ASSERT_EQ(models.size(), 2u);
+    EXPECT_EQ(models[0].asString(), "base");
+    EXPECT_EQ(models[1].asString(), "FG+MLB-RET");
+    EXPECT_GE(r.at("host").at("sweep_threads").asNumber(), 1.0);
+
+    // Only the grid's shape survives into the non-timing view: its
+    // wall clocks, rates and thread count differ between hosts.
+    JsonValue view = harness::benchNonTimingView(r);
+    const auto &members = view.at("sweep").asObject();
+    ASSERT_EQ(members.size(), 2u);
+    EXPECT_EQ(members[0].first, "points");
+    EXPECT_EQ(members[1].first, "models");
+    EXPECT_FALSE(view.find("host"));
+    EXPECT_FALSE(view.at("replay").find("cold_seconds"));
+}
+
+TEST(BenchReport, FlippedSweepGateIsADiff)
+{
+    // JsonValue is append-only, so flip the gate in the serialized text.
+    std::ostringstream os;
+    writeJson(os, tinyReport());
+    std::string text = os.str();
+    const std::string gate = "\"sweep_parallel_identical\": true";
+    const size_t at = text.find(gate);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, gate.size(), "\"sweep_parallel_identical\": false");
+    std::vector<std::string> diffs =
+        harness::diffBenchReports(tinyReport(), parseJson(text));
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_NE(diffs[0].find("sweep_parallel_identical"), std::string::npos)
+        << diffs[0];
 }
 
 TEST(BenchReport, JsonRoundTripPreservesEverything)
@@ -166,6 +209,16 @@ TEST(BenchOptions, UnknownFlagRejectedPassthroughCollected)
     auto err = bench::parseBenchArgsInto(
         opts, static_cast<int>(argv.size()), argv.data(), nullptr);
     EXPECT_TRUE(err.has_value());
+
+    // --no-verify is the only verify flag and the drivers never retry
+    // a point, so neither spelling below is accepted.
+    for (std::string flag : {"--verify=0", "--retries=1"}) {
+        bench::BenchOptions fresh;
+        char *one[] = {raw[0].data(), flag.data()};
+        EXPECT_TRUE(
+            bench::parseBenchArgsInto(fresh, 2, one, nullptr).has_value())
+            << flag;
+    }
 
     // With a passthrough list the unknown flag is forwarded instead
     // (micro_components hands Google-Benchmark flags through this way).

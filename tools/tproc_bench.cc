@@ -19,6 +19,10 @@
  * unless one is given. Telemetry never changes the report's non-timing
  * fields, so it composes with --check.
  *
+ * The report also runs the sweep grid (every workload on base and
+ * FG+MLB-RET) serially, in parallel and replayed; its identity gates
+ * (parallel == serial, replay == live) are part of the exit status.
+ *
  * Exit status: 0 clean; 1 divergence, identity-gate failure, or a
  * failed simulation point; 2 usage error (bad numbers and unwritable
  * --metrics-json destinations included — both are checked up front).
@@ -178,7 +182,7 @@ main(int argc, char **argv)
         JsonValue checked_in;
         if (!check_path.empty()) {
             // The checked-in file defines the run: same insts, seed,
-            // model, thread list — so the non-timing fields are
+            // model, reps and verify — so the non-timing fields are
             // comparable bit for bit.
             checked_in = readReportFile(check_path);
             const uint64_t metrics_interval = opts.metricsInterval;
