@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "pe/processing_element.hh"
 
 namespace tproc
 {
@@ -117,6 +118,12 @@ ProcessorConfig::validate() const
     // BIT's notion of the maximum length must agree with selection's
     // (forModel keeps them synced; hand-built configs can drift).
     requirePositive("selection.maxTraceLen", selection.maxTraceLen);
+    // A PE's scheduling masks hold one bit per slot.
+    if (selection.maxTraceLen > static_cast<int>(maxSlotsPerTrace))
+        badKnob("selection.maxTraceLen",
+                "must be <= " + std::to_string(maxSlotsPerTrace) +
+                    " (the PE slot-mask width; got " +
+                    std::to_string(selection.maxTraceLen) + ")");
     requirePositive("bit.maxTraceLen", bit.maxTraceLen);
     if (bit.maxTraceLen != selection.maxTraceLen)
         badKnob("bit.maxTraceLen",

@@ -368,20 +368,16 @@ Processor::sampleMetrics(uint64_t elapsed)
 // Execution: operand readiness, issue, completion.
 // ---------------------------------------------------------------------
 
-bool
-Processor::operandReady(const InFlightTrace &t, const DynSlot &d) const
+PhysReg
+Processor::unreadyLiveIn(const DynSlot &d) const
 {
-    auto one_ready = [&](int dep, PhysReg src, bool reads) {
-        if (!reads)
-            return true;
-        if (dep >= 0) {
-            const DynSlot &p = t.slots[dep];
-            return p.completed && curCycle >= p.readyAt;
-        }
-        return prf.ready(src, curCycle);
-    };
-    return one_ready(d.dep1, d.src1, readsRs1(d.inst)) &&
-        one_ready(d.dep2, d.src2, readsRs2(d.inst));
+    // src* is valid exactly for the live-in operands (the slot reads
+    // the register and no earlier slot of the trace writes it).
+    if (d.src1 != invalidPhysReg && !prf.ready(d.src1, curCycle))
+        return d.src1;
+    if (d.src2 != invalidPhysReg && !prf.ready(d.src2, curCycle))
+        return d.src2;
+    return invalidPhysReg;
 }
 
 int64_t
@@ -389,7 +385,7 @@ Processor::operandValue(const InFlightTrace &t, int dep, PhysReg src) const
 {
     if (dep >= 0)
         return t.slots[dep].value;
-    return prf.value(src);
+    return src != invalidPhysReg ? prf.value(src) : 0;
 }
 
 void
@@ -397,11 +393,12 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
     d.issued = true;
-    --t.slotsNotIssued;
-    ++t.slotsIssuedNotDone;
+    t.notIssuedMask &= ~slotBit(slot);
+    t.inFlightMask |= slotBit(slot);
     ++d.issueCount;
-    d.srcVal1 = readsRs1(d.inst) ? operandValue(t, d.dep1, d.src1) : 0;
-    d.srcVal2 = readsRs2(d.inst) ? operandValue(t, d.dep2, d.src2) : 0;
+    ++work.issuedSlots;
+    d.srcVal1 = operandValue(t, d.dep1, d.src1);
+    d.srcVal2 = operandValue(t, d.dep2, d.src2);
 
     const Instruction &inst = d.inst;
     switch (inst.op) {
@@ -446,20 +443,33 @@ Processor::issueSlot(InFlightTrace &t, int slot)
 void
 Processor::issueTrace(InFlightTrace &t)
 {
-    // Readiness precheck: a trace with no un-issued slot cannot issue
-    // anything — skip the slot walk entirely (most of the window is in
-    // this state most cycles).
-    if (t.slotsNotIssued == 0)
-        return;
+    // A register a parked slot waits on was written: wake them all.
+    if (prf.writeSig() & t.parkSig)
+        t.parkedMask = t.parkSig = 0;
+
+    // Only un-issued, unparked slots whose in-trace producers have all
+    // completed can issue; a trace with none (most of the window, most
+    // cycles) is skipped outright. The walk is in slot order, so the
+    // issuePerPe cap picks the same slots a full scan would.
     int issued_this_cycle = 0;
-    for (size_t i = 0;
-         i < t.slots.size() && issued_this_cycle < cfg.issuePerPe; ++i) {
+    for (uint64_t m = t.notIssuedMask & t.localReadyMask & ~t.parkedMask;
+         m && issued_this_cycle < cfg.issuePerPe; m &= m - 1) {
+        const int i = lowestSlot(m);
         DynSlot &d = t.slots[i];
-        if (d.issued || d.completed || curCycle < d.earliestIssue)
+        ++work.issueCandidates;
+        if (curCycle < d.earliestIssue)
             continue;
-        if (!operandReady(t, d))
+        ++work.operandProbes;
+        const PhysReg blocker = unreadyLiveIn(d);
+        if (blocker != invalidPhysReg) {
+            // No value yet: only a write can make it ready.
+            if (!prf.hasValue(blocker)) {
+                t.parkedMask |= slotBit(i);
+                t.parkSig |= PhysRegFile::sigBit(blocker);
+            }
             continue;
-        issueSlot(t, static_cast<int>(i));
+        }
+        issueSlot(t, i);
         ++issued_this_cycle;
     }
 }
@@ -472,30 +482,34 @@ Processor::phaseIssue()
     timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
         for (size_t i = 0; i < window.size(); ++i)
             issueTrace(entryAt(i));
+        // Every trace has seen this cycle's writes; nothing writes the
+        // register file between here and the next cycle's completions.
+        prf.clearWriteSig();
     });
 }
 
 void
 Processor::phaseCompletions()
 {
-    // Complete ready slots in window order, in place. A consumer that
-    // completeSlot reissues is un-issued by the time the scan reaches
-    // it, and completion never changes the window itself.
+    // Complete ready slots in window order, in place, visiting only the
+    // in-flight slots of each trace in slot order. A consumer that
+    // completeSlot reissues leaves the in-flight mask before the walk
+    // reaches it (consumers follow their producer), and completion
+    // never changes the window itself.
     timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
         for (size_t w = 0; w < window.size(); ++w) {
             InFlightTrace &t = entryAt(w);
-            // Readiness precheck: no issued-but-incomplete slot means
-            // nothing can possibly complete — skip the slot walk.
-            if (t.slotsIssuedNotDone == 0)
-                continue;
-            for (size_t i = 0; i < t.slots.size(); ++i) {
+            for (uint64_t m = t.inFlightMask; m;) {
+                const int i = lowestSlot(m);
+                m &= m - 1;
                 const DynSlot &d = t.slots[i];
+                ++work.completionVisits;
                 // waitingBus gates memory ops between address
                 // generation and their cache-bus grant (the grant
                 // schedules the real completion time).
-                if (d.issued && !d.completed && !d.waitingBus &&
-                    d.execDoneAt <= curCycle) {
-                    completeSlot(t, static_cast<int>(i));
+                if (!d.waitingBus && d.execDoneAt <= curCycle) {
+                    completeSlot(t, i);
+                    m &= t.inFlightMask;
                 }
             }
         }
@@ -518,8 +532,8 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     }
 
     d.completed = true;
-    --t.slotsIssuedNotDone;
-    d.readyAt = curCycle;
+    t.inFlightMask &= ~slotBit(slot);
+    t.completedMask |= slotBit(slot);
 
     // Value-change filter: a recompletion that reproduces the previous
     // value cannot change any downstream result, so dependents keep
@@ -528,16 +542,19 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     d.everCompleted = true;
     d.lastValue = d.value;
 
-    // Selective reissue of dependence chains (Section 2.2.3): any local
-    // consumer that already issued consumed a stale value.
-    if (value_changed) {
-        for (size_t i = 0; i < t.slots.size(); ++i) {
-            DynSlot &c = t.slots[i];
-            if ((c.dep1 == slot || c.dep2 == slot) &&
-                (c.issued || c.completed) && static_cast<int>(i) != slot) {
-                ++stats.reissueLocal;
-                reissueSlot(t, static_cast<int>(i), curCycle + 1);
-            }
+    // Operand wakeup and selective reissue of dependence chains
+    // (Section 2.2.3), over the local consumers in slot order: a
+    // consumer whose producers have now all completed becomes locally
+    // ready, and one that already issued consumed a stale value.
+    for (uint64_t m = d.consumers; m; m &= m - 1) {
+        const int i = lowestSlot(m);
+        DynSlot &c = t.slots[i];
+        ++work.consumerVisits;
+        if (t.locallyReady(c))
+            t.localReadyMask |= slotBit(i);
+        if (value_changed && (c.issued || c.completed)) {
+            ++stats.reissueLocal;
+            reissueSlot(t, i, curCycle + 1);
         }
     }
 
@@ -576,6 +593,9 @@ void
 Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
 {
     DynSlot &d = t.slots[slot];
+    // Redispatch reissues slots whose live-in names changed: whatever
+    // register the slot was parked on may no longer be its source.
+    t.parkedMask &= ~slotBit(slot);
     if (!d.issued && !d.completed) {
         d.earliestIssue = std::max(d.earliestIssue, earliest);
         return;
@@ -584,11 +604,13 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
         arb.loadRemove(t.uid, slot);
     if (d.isStore() && d.performed)
         arb.storeUndo(t.uid, slot);
-    // Back to the not-issued pool (completed implies issued, so the
-    // issued-not-done counter only drops for still-pending slots).
-    if (!d.completed)
-        --t.slotsIssuedNotDone;
-    ++t.slotsNotIssued;
+    // Back to the not-issued pool. Un-completing a slot also puts its
+    // local consumers back to sleep.
+    if (d.completed)
+        t.localReadyMask &= ~d.consumers;
+    t.inFlightMask &= ~slotBit(slot);
+    t.completedMask &= ~slotBit(slot);
+    t.notIssuedMask |= slotBit(slot);
     d.resetDynamic();
     d.earliestIssue = std::max(d.earliestIssue, earliest);
     ++stats.reissuedSlots;
@@ -599,15 +621,15 @@ Processor::reissueConsumersOf(PhysReg reg)
 {
     for (size_t w = 0; w < window.size(); ++w) {
         InFlightTrace &t = entryAt(w);
-        for (size_t i = 0; i < t.slots.size(); ++i) {
-            DynSlot &d = t.slots[i];
-            bool consumes = (d.dep1 < 0 && readsRs1(d.inst) &&
-                             d.src1 == reg) ||
-                            (d.dep2 < 0 && readsRs2(d.inst) &&
-                             d.src2 == reg);
-            if (consumes && (d.issued || d.completed)) {
+        // Only slots that already issued can have consumed the old
+        // value; src* names exactly the live-in operands.
+        for (uint64_t m = t.inFlightMask | t.completedMask; m;
+             m &= m - 1) {
+            const int i = lowestSlot(m);
+            const DynSlot &d = t.slots[i];
+            if (d.src1 == reg || d.src2 == reg) {
                 ++stats.reissueGlobal;
-                reissueSlot(t, static_cast<int>(i), curCycle + 1);
+                reissueSlot(t, i, curCycle + 1);
             }
         }
     }
@@ -745,12 +767,11 @@ Processor::phaseEvents()
         }
     }
 
-    // Validate queued events, dropping stale ones, and pick the oldest
-    // processable one.
+    // Validate queued events, dropping stale ones in place (order kept,
+    // nothing allocated), and pick the oldest processable one.
     int best = -1;
     int64_t best_key = 0;
-    std::vector<MispEvent> still;
-    still.reserve(events.size());
+    size_t kept = 0;
     for (const MispEvent &ev : events) {
         InFlightTrace *t = find(ev.uid);
         if (!t || ev.slot >= static_cast<int>(t->slots.size()))
@@ -769,14 +790,15 @@ Processor::phaseEvents()
         if (!valid)
             continue;
         bool deferred = ci_idx >= 0 && idx >= ci_idx;
-        int64_t key = idx * 64 + ev.slot;
+        // Slots are < maxSlotsPerTrace, so this orders by (trace, slot).
+        int64_t key = idx * int64_t(maxSlotsPerTrace) + ev.slot;
         if (!deferred && (best < 0 || key < best_key)) {
-            best = static_cast<int>(still.size());
+            best = static_cast<int>(kept);
             best_key = key;
         }
-        still.push_back(ev);
+        events[kept++] = ev;
     }
-    events = std::move(still);
+    events.resize(kept);
     if (best < 0)
         return;
 
@@ -1368,6 +1390,72 @@ Processor::phaseRetire()
 }
 
 void
+Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
+{
+    const size_t n = t.slots.size();
+    panic_if(n > maxSlotsPerTrace, "trace wider than the slot masks "
+             "(pos %zu, %zu slots)", pos, n);
+    uint64_t not_issued = 0, in_flight = 0, completed = 0, ready = 0;
+    std::vector<uint64_t> consumers(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+        const DynSlot &d = t.slots[i];
+        const uint64_t bit = slotBit(static_cast<int>(i));
+        panic_if(d.completed && !d.issued,
+                 "completed slot not issued (pos %zu, slot %zu)", pos, i);
+        if (d.completed)
+            completed |= bit;
+        else if (d.issued)
+            in_flight |= bit;
+        else
+            not_issued |= bit;
+
+        // Renamed operands: a source is either an earlier in-trace
+        // producer or a live-in register, exactly when it is read.
+        uint64_t producers = 0;
+        auto check_src = [&](bool reads, int dep, PhysReg src) {
+            panic_if(dep >= static_cast<int>(i),
+                     "producer not earlier (pos %zu, slot %zu)", pos, i);
+            panic_if((reads && dep < 0) != (src != invalidPhysReg) ||
+                         (!reads && dep >= 0),
+                     "renamed source out of sync (pos %zu, slot %zu)",
+                     pos, i);
+            if (dep >= 0) {
+                producers |= slotBit(dep);
+                consumers[dep] |= bit;
+            }
+        };
+        check_src(readsRs1(d.inst), d.dep1, d.src1);
+        check_src(readsRs2(d.inst), d.dep2, d.src2);
+        panic_if(d.producers != producers,
+                 "producer mask out of sync (pos %zu, slot %zu)", pos, i);
+
+        // Between cycles a parked slot still waits on a live-in with no
+        // value, and parkSig covers that register.
+        if (t.parkedMask & bit) {
+            auto waits_on = [&](PhysReg r) {
+                return r != invalidPhysReg && !prf.hasValue(r) &&
+                    (t.parkSig & PhysRegFile::sigBit(r));
+            };
+            panic_if(d.issued || d.completed ||
+                         !(waits_on(d.src1) || waits_on(d.src2)),
+                     "parked slot can issue (pos %zu, slot %zu)", pos, i);
+        }
+    }
+    for (size_t i = 0; i < n; ++i) {
+        panic_if(t.slots[i].consumers != consumers[i],
+                 "consumer mask out of sync (pos %zu, slot %zu)", pos, i);
+        if ((t.slots[i].producers & ~completed) == 0)
+            ready |= slotBit(static_cast<int>(i));
+    }
+    panic_if(not_issued != t.notIssuedMask ||
+                 in_flight != t.inFlightMask ||
+                 completed != t.completedMask,
+             "slot masks out of sync with slot flags (pos %zu)", pos);
+    panic_if(ready != t.localReadyMask,
+             "local-ready mask out of sync (pos %zu)", pos);
+}
+
+void
 Processor::checkInvariants() const
 {
     panic_if(window.size() + freePes.size() !=
@@ -1382,18 +1470,7 @@ Processor::checkInvariants() const
         panic_if(t.uid != window[i], "pool uid out of sync");
         panic_if(t.logicalPos != static_cast<int64_t>(i),
                  "stale logical position");
-        int not_issued = 0, in_flight = 0;
-        for (const auto &d : t.slots) {
-            if (d.completed)
-                continue;
-            if (d.issued)
-                ++in_flight;
-            else
-                ++not_issued;
-        }
-        panic_if(not_issued != t.slotsNotIssued ||
-                 in_flight != t.slotsIssuedNotDone,
-                 "pending-slot counters out of sync (pos %zu)", i);
+        checkSlotMasks(t, i);
     }
 }
 

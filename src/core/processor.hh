@@ -15,8 +15,13 @@
  * entire control-independence machinery end to end: every control and
  * data repair must converge to the architectural execution.
  *
- * The cycle loop is serial: every phase walks the window in order, and
- * tests/test_golden.cc pins its statistics bit for bit.
+ * The cycle loop is serial and every phase runs in window order; the
+ * issue and completion phases are event-driven within a trace: per-PE
+ * slot masks (not issued / in flight / completed / locally ready) let
+ * them visit only the slots that can act, in slot order, and a
+ * completion wakes or reissues exactly its local consumers. Statistics
+ * are those of a full slot-by-slot scan, and tests/test_golden.cc pins
+ * them bit for bit.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
@@ -136,6 +141,28 @@ struct ProcessorStats
     }
 };
 
+/**
+ * Host-independent work done by the scheduler, kept outside
+ * ProcessorStats so it never enters a StatDict (golden snapshots and
+ * sweep artifacts are unaffected). Deterministic for a given run, so
+ * benches can gate it exactly.
+ */
+struct SchedWork
+{
+    uint64_t operandProbes = 0;     //!< global readiness probes
+    uint64_t issuedSlots = 0;       //!< slot issues (first and reissues)
+    uint64_t issueCandidates = 0;   //!< slots the issue walk visited
+    uint64_t completionVisits = 0;  //!< slots the completion walk visited
+    uint64_t consumerVisits = 0;    //!< local consumers a completion woke
+
+    double
+    probesPerIssue() const
+    {
+        return issuedSlots ?
+            static_cast<double>(operandProbes) / issuedSlots : 0.0;
+    }
+};
+
 class Processor
 {
   public:
@@ -167,7 +194,12 @@ class Processor
      *  use; has no effect on the simulation itself). */
     void setIdentity(std::string id) { identity = std::move(id); }
 
-    /** Check internal invariants (tests call this liberally). */
+    /** Scheduler work counters so far. */
+    const SchedWork &schedWork() const { return work; }
+
+    /** Check internal invariants (tests call this liberally): PE
+     *  accounting, and each resident trace's slot masks against its
+     *  slot flags and dep1/dep2. */
     void checkInvariants() const;
 
     /** @name Windowed telemetry (cfg.metricsInterval > 0).
@@ -253,7 +285,10 @@ class Processor
 
     /** @name Execution. */
     /// @{
-    bool operandReady(const InFlightTrace &t, const DynSlot &d) const;
+    /** First live-in operand register not ready this cycle, or
+     *  invalidPhysReg; in-trace operands are the caller's
+     *  InFlightTrace::locallyReady check (the local-ready mask). */
+    PhysReg unreadyLiveIn(const DynSlot &d) const;
     int64_t operandValue(const InFlightTrace &t, int dep, PhysReg src) const;
     void issueSlot(InFlightTrace &t, int slot);
     /** One PE's issue/execute pass over its own slots. */
@@ -288,10 +323,12 @@ class Processor
     /// @}
 
     void verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d);
+    void checkSlotMasks(const InFlightTrace &t, size_t pos) const;
 
     const Program &prog;
     ProcessorConfig cfg;
     ProcessorStats stats;
+    SchedWork work;
 
     Frontend frontend;
     DCache dcache;

@@ -25,6 +25,8 @@ runConfig(const Program &prog, const ProcessorConfig &cfg,
     auto simulate = PhaseTimers::global().scope("simulate");
     Processor p(prog, cfg, std::move(golden));
     ProcessorStats stats = p.run(max_insts);
+    if (metrics_out)
+        metrics_out->sched = p.schedWork();
     if (const IntervalSeries *series = p.metricsSeries()) {
         // The per-cycle split accumulates lock-free inside the
         // processor; fold it into the global registry once per run.

@@ -26,14 +26,16 @@ ProcessorStats runModel(const Program &prog, std::string_view model,
                         bool verify = true);
 
 /**
- * Telemetry carried out of one runConfig call when the configuration
- * enables windowed sampling (cfg.metricsInterval > 0): the interval
- * series plus the wall time the cycle loop spent polling the window
- * for completions and issue versus everything else. Pure observation —
- * requesting it never changes ProcessorStats (docs/metrics.md).
+ * Observations carried out of one runConfig call: the scheduler work
+ * counters, and — when the configuration enables windowed sampling
+ * (cfg.metricsInterval > 0) — the interval series plus the wall time
+ * the cycle loop spent polling the window for completions and issue
+ * versus everything else. Pure observation — requesting it never
+ * changes ProcessorStats (docs/metrics.md).
  */
 struct RunMetrics
 {
+    SchedWork sched;
     IntervalSeries series;
     double computeSeconds = 0.0; //!< completion + issue polling
     double cycleSeconds = 0.0;   //!< whole cycle loop, compute included
@@ -46,8 +48,8 @@ struct RunMetrics
  *
  * The run is timed under the "simulate" phase of PhaseTimers::global();
  * when cfg.metricsInterval > 0 the cycle-loop split is folded into the
- * "cycle_compute" / "cycle_commit" phases and, if metrics_out is
- * non-null, the sampled series is copied there.
+ * "cycle_compute" / "cycle_commit" phases. A non-null metrics_out
+ * receives the scheduler work counters and any sampled series.
  */
 ProcessorStats runConfig(const Program &prog, const ProcessorConfig &cfg,
                          uint64_t max_insts = UINT64_MAX,

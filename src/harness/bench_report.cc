@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -26,6 +27,7 @@ namespace
 struct Timed
 {
     ProcessorStats stats;
+    SchedWork sched;
     double wall = 0.0;
     bool stable = true;
 
@@ -33,6 +35,16 @@ struct Timed
      *  reps are bit-identical, so one series represents them all). */
     IntervalSeries series;
 };
+
+bool
+sameWork(const SchedWork &a, const SchedWork &b)
+{
+    return a.operandProbes == b.operandProbes &&
+        a.issuedSlots == b.issuedSlots &&
+        a.issueCandidates == b.issueCandidates &&
+        a.completionVisits == b.completionVisits &&
+        a.consumerVisits == b.consumerVisits;
+}
 
 Timed
 bestOf(const SweepPoint &p, int reps)
@@ -48,11 +60,12 @@ bestOf(const SweepPoint &p, int reps)
         StatDict d = statsToDict(r.stats);
         if (rep == 0) {
             t.stats = r.stats;
+            t.sched = r.sched;
             t.wall = r.wallSeconds;
             t.series = std::move(r.series);
             ref = std::move(d);
         } else {
-            if (d != ref)
+            if (d != ref || !sameWork(r.sched, t.sched))
                 t.stable = false;
             t.wall = std::min(t.wall, r.wallSeconds);
         }
@@ -106,6 +119,47 @@ double
 rate(double count, double seconds)
 {
     return seconds > 0.0 ? count / seconds : 0.0;
+}
+
+/** The scheduler work counters of one run: host-independent, so they
+ *  stay in the non-timing view and CI gates them exactly. */
+JsonValue
+schedJson(const SchedWork &sw)
+{
+    JsonValue o = JsonValue::makeObject();
+    o.set("operand_probes", num(static_cast<double>(sw.operandProbes)));
+    o.set("issued_slots", num(static_cast<double>(sw.issuedSlots)));
+    o.set("issue_candidates", num(static_cast<double>(sw.issueCandidates)));
+    o.set("completion_visits",
+          num(static_cast<double>(sw.completionVisits)));
+    o.set("consumer_visits", num(static_cast<double>(sw.consumerVisits)));
+    o.set("probes_per_issue", num(sw.probesPerIssue()));
+    return o;
+}
+
+/** CPU model name and clock from /proc/cpuinfo's first processor
+ *  ("unknown" where the file or field is absent). */
+void
+setCpuFingerprint(JsonValue &host)
+{
+    std::string model = "unknown", mhz = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    auto field = [&line](const char *key, std::string &out) {
+        if (out != "unknown" || line.rfind(key, 0) != 0)
+            return;
+        const size_t colon = line.find(':');
+        const size_t start = colon == std::string::npos
+            ? std::string::npos : line.find_first_not_of(" \t", colon + 1);
+        if (start != std::string::npos)
+            out = line.substr(start);
+    };
+    while (std::getline(cpuinfo, line)) {
+        field("model name", model);
+        field("cpu MHz", mhz);
+    }
+    host.set("cpu_model", JsonValue::makeString(model));
+    host.set("cpu_mhz", JsonValue::makeString(mhz));
 }
 
 /** Keys dropped from the non-timing view, wherever they appear.
@@ -303,6 +357,7 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
         w.set("ipc", num(s.cycles ? static_cast<double>(s.retiredInsts) /
                                         static_cast<double>(s.cycles)
                                   : 0.0));
+        w.set("sched", schedJson(live[i].sched));
         w.set("wall_seconds", num(live[i].wall));
         w.set("cycles_per_sec",
               num(rate(static_cast<double>(s.cycles), live[i].wall)));
@@ -446,6 +501,7 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
     host.set("hardware_concurrency",
              num(std::thread::hardware_concurrency()));
     host.set("sweep_threads", num(grid_threads));
+    setCpuFingerprint(host);
     report.set("host", std::move(host));
 
     report.set("workloads", std::move(workloads));

@@ -384,8 +384,6 @@ SweepEngine::runPoint(const SweepPoint &p)
             " seed=" + std::to_string(p.seed) +
             " model=" + (p.useConfig ? p.label() : p.model);
         RunMetrics run_metrics;
-        RunMetrics *metrics_out =
-            cfg.metricsInterval > 0 ? &run_metrics : nullptr;
         if (!p.traceDir.empty()) {
             // Replay mode: the trace file supplies both the program
             // and the architectural stream; the timing simulation
@@ -400,14 +398,14 @@ SweepEngine::runPoint(const SweepPoint &p)
             }
             r.stats = runConfig(ensured.reader->program(), cfg,
                                 p.maxInsts, std::move(golden),
-                                metrics_out);
+                                &run_metrics);
         } else {
             Workload w = makeWorkload(p.workload, p.seed, p.scale);
             r.stats = runConfig(w.program, cfg, p.maxInsts, nullptr,
-                                metrics_out);
+                                &run_metrics);
         }
-        if (metrics_out)
-            r.series = std::move(run_metrics.series);
+        r.sched = run_metrics.sched;
+        r.series = std::move(run_metrics.series);
         r.ok = true;
     } catch (const std::exception &e) {
         r.error = e.what();

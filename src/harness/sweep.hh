@@ -112,6 +112,10 @@ struct SweepResult
      * leave the process exclusively via the --metrics-json document.
      */
     IntervalSeries series;
+
+    /** Scheduler work counters of the run; in-memory transport only,
+     *  like series (never serialized). */
+    SchedWork sched;
 };
 
 /** Flatten every ProcessorStats counter into the mergeable dict. */

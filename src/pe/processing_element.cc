@@ -24,9 +24,9 @@ setStatic(DynSlot &d, const TraceSlot &s)
 }
 
 /**
- * Compute intra-trace dependences and live-in sources for all slots.
- * Does not touch destinations. @return last writer slot per arch reg
- * (-1 = none).
+ * Compute intra-trace dependences, the local producer/consumer masks
+ * and live-in sources for all slots. Does not touch destinations.
+ * @return last writer slot per arch reg (-1 = none).
  */
 std::array<int, numArchRegs>
 computeDeps(InFlightTrace &t, const RenameMap &map)
@@ -38,24 +38,42 @@ computeDeps(InFlightTrace &t, const RenameMap &map)
         DynSlot &d = t.slots[i];
         d.dep1 = d.dep2 = -1;
         d.src1 = d.src2 = invalidPhysReg;
+        d.producers = d.consumers = 0;
+        const uint64_t bit = slotBit(static_cast<int>(i));
         if (readsRs1(d.inst)) {
             int w = last_writer[d.inst.rs1];
-            if (w >= 0)
+            if (w >= 0) {
                 d.dep1 = w;
-            else
+                d.producers |= slotBit(w);
+                t.slots[w].consumers |= bit;
+            } else {
                 d.src1 = map[d.inst.rs1];
+            }
         }
         if (readsRs2(d.inst)) {
             int w = last_writer[d.inst.rs2];
-            if (w >= 0)
+            if (w >= 0) {
                 d.dep2 = w;
-            else
+                d.producers |= slotBit(w);
+                t.slots[w].consumers |= bit;
+            } else {
                 d.src2 = map[d.inst.rs2];
+            }
         }
         if (writesReg(d.inst))
             last_writer[d.inst.rd] = static_cast<int>(i);
     }
     return last_writer;
+}
+
+/** The slot masks are 64-bit; config validation keeps traces within
+ *  them, so a longer one is a selection bug. */
+void
+checkTraceWidth(const Trace &trace)
+{
+    panic_if(trace.slots.size() > maxSlotsPerTrace,
+             "trace of %zu slots exceeds the %zu-slot PE mask width",
+             trace.slots.size(), maxSlotsPerTrace);
 }
 
 } // anonymous namespace
@@ -65,6 +83,7 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
                   std::shared_ptr<const Trace> trace, RenameMap &map,
                   PhysRegFile &prf)
 {
+    checkTraceWidth(*trace);
     t.uid = uid;
     t.mapBefore = map;
     t.peId = -1;
@@ -95,8 +114,7 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
         map[a] = p;
     }
 
-    t.slotsNotIssued = static_cast<int>(t.slots.size());
-    t.slotsIssuedNotDone = 0;
+    t.recountPending();
 }
 
 std::unique_ptr<InFlightTrace>
@@ -116,6 +134,7 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     panic_if(prefix_len > new_trace->slots.size(),
              "repair: prefix longer than repaired trace (%zu > %zu)",
              prefix_len, new_trace->slots.size());
+    checkTraceWidth(*new_trace);
 
     // Remember old live-out assignments keyed by (slot, arch).
     std::array<PhysReg, numArchRegs> old_phys;
@@ -192,8 +211,8 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
             deferred_free.push_back(old_phys[a]);
     }
 
-    // The slot array was rebuilt wholesale; re-derive the scheduling
-    // summaries from the surviving prefix + fresh suffix flags.
+    // The slot array was rebuilt wholesale; re-derive the slot masks
+    // from the surviving prefix + fresh suffix flags.
     t.recountPending();
 }
 

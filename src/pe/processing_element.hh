@@ -13,6 +13,7 @@
 #ifndef TPROC_PE_PROCESSING_ELEMENT_HH
 #define TPROC_PE_PROCESSING_ELEMENT_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,17 +24,56 @@
 namespace tproc
 {
 
+/** Slot capacity of one PE: the per-trace scheduling masks are 64-bit,
+ *  so ProcessorConfig::validate() caps selection.maxTraceLen here. */
+constexpr size_t maxSlotsPerTrace = 64;
+
+/** Mask bit of slot i (i < maxSlotsPerTrace). */
+constexpr uint64_t
+slotBit(int i)
+{
+    return uint64_t(1) << i;
+}
+
+/** Index of the lowest set bit of a nonzero mask. */
+inline int
+lowestSlot(uint64_t m)
+{
+    return __builtin_ctzll(m);
+}
+
 /**
  * Dynamic state of one instruction slot in a PE.
  *
- * Field order is load-bearing for the hot path: the issue/completion
- * scans touch the flags, gate cycles, and renaming fields every cycle,
- * so those lead the struct (first cache lines); the flags are packed
- * together instead of interleaved with wider members.
+ * Field order is load-bearing for the hot path: the issue walk reads
+ * the issue gate and the renamed sources of each candidate, the
+ * completion walk reads the completion gate and waitingBus, and the
+ * reissue walk reads the consumer mask — so those lead the struct
+ * (first cache line), ahead of the flags and the values.
  */
 struct DynSlot
 {
-    /** @name Scheduling flags (hottest: read by every scan). */
+    /** @name Scheduling gates and renaming (read by every walk). */
+    /// @{
+    Cycle earliestIssue = 0;    //!< dispatch / repair / reissue gate
+    Cycle execDoneAt = 0;   //!< completion time of the in-flight issue
+    /** In-trace producer slots (bits of dep1/dep2): the slot is locally
+     *  ready iff every one of them has completed. */
+    uint64_t producers = 0;
+    /** In-trace consumer slots (every later slot whose dep1/dep2 is this
+     *  one): whom a completion wakes and a changed value reissues. */
+    uint64_t consumers = 0;
+    int dep1 = -1;      //!< producer slot index for rs1, or -1
+    int dep2 = -1;
+    /** Live-in phys reg for rs1; valid iff the slot reads rs1 and has
+     *  no in-trace producer for it (dep1 < 0). */
+    PhysReg src1 = invalidPhysReg;
+    PhysReg src2 = invalidPhysReg;
+    PhysReg dest = invalidPhysReg;  //!< live-out phys reg (last writers)
+    uint32_t issueCount = 0;        //!< times issued (reissue statistics)
+    /// @}
+
+    /** @name Scheduling flags. */
     /// @{
     bool issued = false;
     bool completed = false;
@@ -51,21 +91,8 @@ struct DynSlot
     bool regionStart = false;
     /// @}
 
-    /** @name Renaming (read by every readiness check). */
-    /// @{
-    int dep1 = -1;      //!< producer slot index for rs1, or -1
-    int dep2 = -1;
-    PhysReg src1 = invalidPhysReg;  //!< live-in phys reg for rs1
-    PhysReg src2 = invalidPhysReg;
-    PhysReg dest = invalidPhysReg;  //!< live-out phys reg (last writers)
-    uint32_t issueCount = 0;        //!< times issued (reissue statistics)
-    /// @}
-
     /** @name Execution state. */
     /// @{
-    Cycle execDoneAt = 0;   //!< completion time of the in-flight issue
-    Cycle readyAt = 0;      //!< when the local value became consumable
-    Cycle earliestIssue = 0;    //!< dispatch / repair / reissue gate
     int64_t value = 0;      //!< result (dest value / store data / br cond)
     int64_t lastValue = 0;
     int64_t srcVal1 = 0;    //!< operand values captured at issue
@@ -94,7 +121,7 @@ struct DynSlot
     resetDynamic()
     {
         issued = completed = false;
-        execDoneAt = readyAt = 0;
+        execDoneAt = 0;
         value = 0;
         resolvedTaken = false;
         brTarget = invalidAddr;
@@ -141,32 +168,58 @@ struct InFlightTrace
      *  trace (retirement gate). */
     int pendingMisp = 0;
 
-    /** @name Scheduling summaries (operand-readiness prechecks).
-     * Derived counts over the slots' (issued, completed) flags,
-     * maintained by the processor's issue/complete/reissue transitions
-     * and recounted wholesale after structural repair. They let the
-     * per-cycle issue and completion scans skip traces with no eligible
-     * slot without walking the slot array — pure scheduling metadata,
-     * so they cannot change simulation results. */
+    /** @name Slot masks (bit i = slot i).
+     * Derived from the slots' (issued, completed) flags and producer
+     * masks, maintained by the processor's issue/complete/reissue
+     * transitions and recounted wholesale after structural repair. The
+     * issue and completion phases walk their set bits instead of every
+     * slot, and skip a trace whose mask is empty — pure scheduling
+     * metadata, so they cannot change simulation results. The first
+     * three partition the slots. */
     /// @{
-    int slotsNotIssued = 0;     //!< slots with !issued && !completed
-    int slotsIssuedNotDone = 0; //!< slots with issued && !completed
+    uint64_t notIssuedMask = 0;     //!< !issued && !completed
+    uint64_t inFlightMask = 0;      //!< issued && !completed
+    uint64_t completedMask = 0;     //!< completed
+    /** Slots whose in-trace producers have all completed (operand
+     *  wakeup: a completion sets its consumers' bits, a reissue of a
+     *  completed slot clears them). */
+    uint64_t localReadyMask = 0;
+    /** Un-issued slots parked on a live-in register that had no value
+     *  when probed; the issue walk skips them until the register file's
+     *  write signature meets parkSig (the OR of their registers'
+     *  PhysRegFile::sigBit), then wakes them all. */
+    uint64_t parkedMask = 0;
+    uint64_t parkSig = 0;
     /// @}
 
     size_t size() const { return slots.size(); }
 
-    /** Recompute the scheduling summaries from the slot flags. */
+    /** True iff every in-trace producer of d has completed. */
+    bool
+    locallyReady(const DynSlot &d) const
+    {
+        return (d.producers & ~completedMask) == 0;
+    }
+
+    /** Recompute the slot masks from the slot flags. */
     void
     recountPending()
     {
-        slotsNotIssued = slotsIssuedNotDone = 0;
-        for (const DynSlot &d : slots) {
-            if (!d.completed) {
-                if (d.issued)
-                    ++slotsIssuedNotDone;
-                else
-                    ++slotsNotIssued;
-            }
+        notIssuedMask = inFlightMask = completedMask = 0;
+        for (size_t i = 0; i < slots.size(); ++i) {
+            const DynSlot &d = slots[i];
+            uint64_t bit = slotBit(static_cast<int>(i));
+            if (d.completed)
+                completedMask |= bit;
+            else if (d.issued)
+                inFlightMask |= bit;
+            else
+                notIssuedMask |= bit;
+        }
+        localReadyMask = parkedMask = parkSig = 0;
+        for (size_t i = 0; i < slots.size(); ++i) {
+            if (locallyReady(slots[i]))
+                localReadyMask |= slotBit(static_cast<int>(i));
         }
     }
 };

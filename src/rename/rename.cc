@@ -52,6 +52,7 @@ PhysRegFile::write(PhysReg r, int64_t value, Cycle ready_at)
     values[r] = value;
     valids[r] = 1;
     readyAts[r] = ready_at;
+    writtenSig |= sigBit(r);
 }
 
 } // namespace tproc

@@ -58,6 +58,18 @@ class PhysRegFile
     int64_t value(PhysReg r) const { return values[r]; }
     Cycle readyAt(PhysReg r) const { return readyAts[r]; }
 
+    /** @name Write signature.
+     * A 64-bit Bloom-style summary (bit r % 64) of the registers
+     * written since the last clearWriteSig(). A reader that saw r
+     * without a value knows r cannot have become ready while
+     * writeSig() & sigBit(r) stays 0: write() is the only way a value
+     * arrives. */
+    /// @{
+    static uint64_t sigBit(PhysReg r) { return uint64_t(1) << (r & 63); }
+    uint64_t writeSig() const { return writtenSig; }
+    void clearWriteSig() { writtenSig = 0; }
+    /// @}
+
     size_t freeCount() const { return freeList.size(); }
     size_t capacity() const { return values.size(); }
 
@@ -78,6 +90,7 @@ class PhysRegFile
     std::vector<uint8_t> valids;
     std::vector<uint8_t> inUses;
     std::vector<PhysReg> freeList;
+    uint64_t writtenSig = 0;   //!< see writeSig()
 };
 
 } // namespace tproc

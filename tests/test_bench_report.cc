@@ -72,7 +72,21 @@ TEST(BenchReport, SchemaFieldsPresent)
             EXPECT_TRUE(w.find(key)) << "missing workload key: " << key;
         }
         cycle_sum += w.at("cycles").asNumber();
+
+        // Scheduler work counters are deterministic, so they survive
+        // into the non-timing view CI diffs.
+        const JsonValue &sched = w.at("sched");
+        for (const char *key :
+             {"operand_probes", "issued_slots", "issue_candidates",
+              "completion_visits", "consumer_visits", "probes_per_issue"}) {
+            EXPECT_TRUE(sched.find(key)) << "missing sched key: " << key;
+        }
+        EXPECT_GE(sched.at("operand_probes").asNumber(),
+                  sched.at("issued_slots").asNumber());
+        EXPECT_GT(sched.at("issued_slots").asNumber(), 0.0);
     }
+    JsonValue view = harness::benchNonTimingView(r);
+    EXPECT_TRUE(view.at("workloads").asArray()[0].find("sched"));
     EXPECT_EQ(r.at("summary").at("total_cycles").asNumber(), cycle_sum);
 
     const JsonValue &identity = r.at("identity");
@@ -96,6 +110,8 @@ TEST(BenchReport, SweepGridCoversBothModels)
     EXPECT_EQ(models[0].asString(), "base");
     EXPECT_EQ(models[1].asString(), "FG+MLB-RET");
     EXPECT_GE(r.at("host").at("sweep_threads").asNumber(), 1.0);
+    EXPECT_TRUE(r.at("host").find("cpu_model"));
+    EXPECT_TRUE(r.at("host").find("cpu_mhz"));
 
     // Only the grid's shape survives into the non-timing view: its
     // wall clocks, rates and thread count differ between hosts.

@@ -360,6 +360,14 @@ TEST(ConfigValidate, RejectsDegenerateShapesNamingTheKnob)
         c.bit.maxTraceLen = c.selection.maxTraceLen + 1;
         expectBadKnob(c, "bit.maxTraceLen");
     }
+    {
+        // Traces longer than the PE's 64-bit slot masks.
+        ProcessorConfig c;
+        c.selection.maxTraceLen = c.bit.maxTraceLen = 65;
+        expectBadKnob(c, "selection.maxTraceLen");
+        c.selection.maxTraceLen = c.bit.maxTraceLen = 64;
+        EXPECT_NO_THROW(c.validate());
+    }
 }
 
 TEST(ConfigValidate, RunsBeforeSimulationStarts)

@@ -11,6 +11,7 @@
 #include "core/runner.hh"
 #include "program/builder.hh"
 #include "workloads/patterns.hh"
+#include "workloads/workloads.hh"
 
 namespace tproc
 {
@@ -169,6 +170,27 @@ TEST(Processor, FgModelExploitsFgci)
     EXPECT_GT(fg.tracesPreserved, 0u);
     // And it should not be slower than base by much (usually faster).
     EXPECT_GT(fg.ipc(), base.ipc() * 0.9);
+}
+
+TEST(Processor, IssueProbesOnlyLocallyReadySlots)
+{
+    // Operand wakeup: the issue walk visits only un-issued slots whose
+    // in-trace producers have completed, so the register-file probe is
+    // paid a few times per issue, not once per waiting slot per cycle
+    // (a full slot scan made ~20 probes per issued slot here).
+    Workload w = makeWorkload("jpeg", 1);
+    ProcessorConfig cfg = ProcessorConfig::forModel("base");
+    Processor p(w.program, cfg);
+    p.run(100000);
+    const SchedWork &sw = p.schedWork();
+    ASSERT_GT(sw.issuedSlots, 100000u);
+    EXPECT_LE(sw.operandProbes, 3 * sw.issuedSlots)
+        << "probes per issued slot: " << sw.probesPerIssue();
+    EXPECT_LE(sw.issuedSlots, sw.operandProbes);
+    EXPECT_LE(sw.operandProbes, sw.issueCandidates);
+    // Every retired slot completed at least once, and only the
+    // completion walk completes slots.
+    EXPECT_GE(sw.completionVisits, p.statsSoFar().retiredInsts);
 }
 
 } // namespace tproc

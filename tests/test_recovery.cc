@@ -137,6 +137,33 @@ TEST(Recovery, SelectiveReissueHappens)
     EXPECT_GT(fg.reissuedSlots, 0u);
 }
 
+TEST(Recovery, SlotMasksHoldEveryCycle)
+{
+    // Recovery-heavy workloads on the full CI model: dispatch, FGCI
+    // repair, CGCI insertion, redispatch and squash all rewrite slot
+    // state, and the scheduling masks must track the slot flags and
+    // the renamed dependences through every one of them. jpeg at 64
+    // fills the masks to their last bit.
+    const std::pair<const char *, int> cases[] = {
+        {"go", 32}, {"compress", 32}, {"jpeg", 64}};
+    for (const auto &[wl, len] : cases) {
+        SCOPED_TRACE(std::string(wl) + " maxTraceLen=" +
+                     std::to_string(len));
+        Workload w = makeWorkload(wl, 1);
+        ProcessorConfig cfg = ProcessorConfig::forModel("FG+MLB-RET");
+        cfg.selection.maxTraceLen = cfg.bit.maxTraceLen = len;
+        Processor p(w.program, cfg);
+        while (!p.done() && p.statsSoFar().retiredInsts < 40000) {
+            p.step();
+            p.checkInvariants();
+        }
+        const ProcessorStats &s = p.statsSoFar();
+        EXPECT_GT(s.recoveriesFgci, 0u);
+        EXPECT_GT(s.redispatchedTraces, 0u);
+        EXPECT_GT(s.reissuedSlots, 0u);
+    }
+}
+
 /** Seed sweep: every model, randomized mixed programs, full golden
  *  verification. */
 class RecoverySweep
