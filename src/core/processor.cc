@@ -78,12 +78,13 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
                      std::unique_ptr<ArchSource> golden_source)
     : prog(prog_), cfg(validated(cfg_)), frontend(prog_, cfg),
       dcache(cfg.dcache),
-      arb([this](TraceUid uid) { return orderOf(uid); }),
+      arb([this](TraceUid uid) {
+          return static_cast<int64_t>(windowIndex(uid));
+      }),
       prf(cfg.physRegs), map(PhysRegFile::initialMap()),
       retireMap(PhysRegFile::initialMap()),
       dispatchExpectedPc(prog_.entry)
 {
-    identity = cfg.identity;
     mem.load(prog.dataInit);
     if (cfg.verifyRetirement) {
         golden = golden_source ? std::move(golden_source)
@@ -92,7 +93,6 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
     pePool.resize(cfg.numPEs);
     peUid.assign(cfg.numPEs, invalidTraceUid);
     busPerPe.assign(cfg.numPEs, 0);
-    window.reserve(cfg.numPEs);
     windowPe.reserve(cfg.numPEs);
     for (int i = cfg.numPEs - 1; i >= 0; --i)
         freePes.push_back(i);
@@ -138,18 +138,24 @@ Processor::windowIndex(TraceUid uid) const
     return t ? static_cast<int>(t->logicalPos) : -1;
 }
 
-int64_t
-Processor::orderOf(TraceUid uid) const
-{
-    const InFlightTrace *t = find(uid);
-    return t ? t->logicalPos : -1;
-}
-
 void
 Processor::refreshLogicalPositions()
 {
-    for (size_t i = 0; i < window.size(); ++i)
-        pePool[windowPe[i]].logicalPos = static_cast<int64_t>(i);
+    for (size_t i = 0; i < windowPe.size(); ++i)
+        entryAt(i).logicalPos = static_cast<int64_t>(i);
+}
+
+void
+Processor::releasePe(InFlightTrace &t)
+{
+    if (lastDispatchedUid == t.uid)
+        lastDispatchedUid = invalidTraceUid;
+    freePes.push_back(t.peId);
+    peUid[t.peId] = invalidTraceUid;
+    windowPe.erase(windowPe.begin() + t.logicalPos);
+    t.trace.reset();
+    t.uid = invalidTraceUid;
+    refreshLogicalPositions();
 }
 
 // ---------------------------------------------------------------------
@@ -186,10 +192,10 @@ Processor::stepPhases()
     // dispatched trace once its final slot executes.
     if (frontend.waitingIndirect()) {
         InFlightTrace *t = find(lastDispatchedUid);
-        if (t && !t->slots.empty()) {
-            const DynSlot &last = t->slots.back();
-            if (isIndirect(last.inst.op) && last.completed)
-                frontend.indirectResolved(last.brTarget);
+        if (t && t->size() > 0) {
+            const int last = static_cast<int>(t->size()) - 1;
+            if (isIndirect(t->at(last).inst.op) && t->completed(last))
+                frontend.indirectResolved(t->slots[last].brTarget);
         }
     }
 
@@ -216,20 +222,20 @@ Processor::raiseWatchdog()
              "events=%zu, insert=%d, queue=%zu, halt=%d, waitInd=%d, "
              "fetchPc=%lld, expected=%lld, dispBusy=%lld, now=%llu%s%s)",
              static_cast<unsigned long long>(cfg.watchdogCycles),
-             window.size(), events.size(), insertMode.active ? 1 : 0,
+             windowPe.size(), events.size(), insertMode.active ? 1 : 0,
              frontend.queueSize(), frontend.haltSeenByFetch() ? 1 : 0,
              frontend.waitingIndirect() ? 1 : 0,
              static_cast<long long>(frontend.fetchPc()),
              static_cast<long long>(dispatchExpectedPc),
              static_cast<long long>(dispatchBusyUntil),
              static_cast<unsigned long long>(curCycle),
-             identity.empty() ? "" : ", ", identity.c_str());
+             cfg.identity.empty() ? "" : ", ", cfg.identity.c_str());
     // Under fault capture, throw the structured form so harnesses can
     // record the point and trigger capture-on-failure; otherwise keep
     // the historical abort-with-message behaviour.
     if (ScopedErrorCapture::active()) {
         throw WatchdogError(buf, curCycle, curCycle - lastRetireCycle,
-                            window.size(), identity);
+                            windowPe.size(), cfg.identity);
     }
     // Deliberate: with no capture active there is no structured-error
     // consumer, and the historical contract is message + abort.
@@ -312,7 +318,7 @@ void
 Processor::tickMetrics()
 {
     MetricsState &m = *metrics;
-    m.occupancySum += static_cast<double>(window.size());
+    m.occupancySum += static_cast<double>(windowPe.size());
     m.busBacklogSum += static_cast<double>(busQueue.size());
     if (--m.countdown == 0)
         sampleMetrics(cfg.metricsInterval);
@@ -392,7 +398,6 @@ void
 Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
-    d.issued = true;
     t.notIssuedMask &= ~slotBit(slot);
     t.inFlightMask |= slotBit(slot);
     ++d.issueCount;
@@ -400,7 +405,7 @@ Processor::issueSlot(InFlightTrace &t, int slot)
     d.srcVal1 = operandValue(t, d.dep1, d.src1);
     d.srcVal2 = operandValue(t, d.dep2, d.src2);
 
-    const Instruction &inst = d.inst;
+    const Instruction &inst = t.at(slot).inst;
     switch (inst.op) {
       case Opcode::LD:
       case Opcode::ST:
@@ -418,7 +423,7 @@ Processor::issueSlot(InFlightTrace &t, int slot)
         break;
       case Opcode::CALL:
       case Opcode::CALLR:
-        d.value = static_cast<int64_t>(d.pc + 1);
+        d.value = static_cast<int64_t>(t.at(slot).pc + 1);
         d.brTarget = inst.op == Opcode::CALL ?
             static_cast<Addr>(inst.imm) : static_cast<Addr>(d.srcVal1);
         d.execDoneAt = curCycle + 1;
@@ -480,7 +485,7 @@ Processor::phaseIssue()
     // Each PE issues against its own slots; nothing writes the
     // register file during issue.
     timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
-        for (size_t i = 0; i < window.size(); ++i)
+        for (size_t i = 0; i < windowPe.size(); ++i)
             issueTrace(entryAt(i));
         // Every trace has seen this cycle's writes; nothing writes the
         // register file between here and the next cycle's completions.
@@ -497,7 +502,7 @@ Processor::phaseCompletions()
     // reaches it (consumers follow their producer), and completion
     // never changes the window itself.
     timedInto(metrics ? &metrics->computeSeconds : nullptr, [this] {
-        for (size_t w = 0; w < window.size(); ++w) {
+        for (size_t w = 0; w < windowPe.size(); ++w) {
             InFlightTrace &t = entryAt(w);
             for (uint64_t m = t.inFlightMask; m;) {
                 const int i = lowestSlot(m);
@@ -520,18 +525,18 @@ void
 Processor::completeSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
+    const TraceSlot &s = t.at(slot);
 
     // Memory operations: address generation finished; go request a cache
     // bus (they "complete" later, once the access returns).
-    if ((d.isLoad() || d.isStore()) && !d.agenDone) {
+    if ((isLoad(s.inst.op) || isStore(s.inst.op)) && !d.agenDone) {
         d.agenDone = true;
-        d.effAddr = static_cast<Addr>(d.srcVal1 + d.inst.imm);
+        d.effAddr = static_cast<Addr>(d.srcVal1 + s.inst.imm);
         d.waitingBus = true;
         cacheQueue.push_back({t.uid, slot});
         return;
     }
 
-    d.completed = true;
     t.inFlightMask &= ~slotBit(slot);
     t.completedMask |= slotBit(slot);
 
@@ -552,7 +557,7 @@ Processor::completeSlot(InFlightTrace &t, int slot)
         ++work.consumerVisits;
         if (t.locallyReady(c))
             t.localReadyMask |= slotBit(i);
-        if (value_changed && (c.issued || c.completed)) {
+        if (value_changed && !(t.notIssuedMask & slotBit(i))) {
             ++stats.reissueLocal;
             reissueSlot(t, i, curCycle + 1);
         }
@@ -562,17 +567,17 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     // current content decides whether a broadcast is needed (a previous
     // broadcast may have been dropped by repair-time validation, and
     // repair can hand a completed slot a fresh register).
-    if (d.dest != invalidPhysReg && writesReg(d.inst) &&
+    if (d.dest != invalidPhysReg && writesReg(s.inst) &&
         (!prf.hasValue(d.dest) || prf.value(d.dest) != d.value)) {
         busQueue.push_back({t.uid, slot, d.dest, d.value});
     }
 
     // Conditional branch resolution: flag a misprediction event.
-    if (d.isCondBr && d.resolvedTaken != d.predTaken)
+    if (s.isCondBr && d.resolvedTaken != s.taken)
         events.push_back({t.uid, slot, false});
 
     // Indirect resolution: validate the successor trace's start pc.
-    if (isIndirect(d.inst.op)) {
+    if (isIndirect(s.inst.op)) {
         if (t.uid == lastDispatchedUid &&
             static_cast<size_t>(slot) + 1 == t.slots.size()) {
             dispatchExpectedPc = d.brTarget;
@@ -581,7 +586,7 @@ Processor::completeSlot(InFlightTrace &t, int slot)
             frontend.indirectResolved(d.brTarget);
         }
         int idx = windowIndex(t.uid);
-        if (idx >= 0 && idx + 1 < static_cast<int>(window.size())) {
+        if (idx >= 0 && idx + 1 < static_cast<int>(windowPe.size())) {
             const InFlightTrace &succ = entryAt(idx + 1);
             if (succ.trace->id.startPc != d.brTarget)
                 events.push_back({t.uid, slot, true});
@@ -596,17 +601,14 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
     // Redispatch reissues slots whose live-in names changed: whatever
     // register the slot was parked on may no longer be its source.
     t.parkedMask &= ~slotBit(slot);
-    if (!d.issued && !d.completed) {
+    if (t.notIssuedMask & slotBit(slot)) {
         d.earliestIssue = std::max(d.earliestIssue, earliest);
         return;
     }
-    if (d.isLoad())
-        arb.loadRemove(t.uid, slot);
-    if (d.isStore() && d.performed)
-        arb.storeUndo(t.uid, slot);
+    arbRelease(t, slot);
     // Back to the not-issued pool. Un-completing a slot also puts its
     // local consumers back to sleep.
-    if (d.completed)
+    if (t.completed(slot))
         t.localReadyMask &= ~d.consumers;
     t.inFlightMask &= ~slotBit(slot);
     t.completedMask &= ~slotBit(slot);
@@ -617,9 +619,19 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
 }
 
 void
+Processor::arbRelease(const InFlightTrace &t, int slot)
+{
+    const Opcode op = t.at(slot).inst.op;
+    if (isLoad(op))
+        arb.loadRemove(t.uid, slot);
+    if (isStore(op) && t.slots[slot].performed)
+        arb.storeUndo(t.uid, slot);
+}
+
+void
 Processor::reissueConsumersOf(PhysReg reg)
 {
-    for (size_t w = 0; w < window.size(); ++w) {
+    for (size_t w = 0; w < windowPe.size(); ++w) {
         InFlightTrace &t = entryAt(w);
         // Only slots that already issued can have consumed the old
         // value; src* names exactly the live-in operands.
@@ -655,7 +667,7 @@ Processor::phaseCacheBuses()
             continue;   // squashed or replaced
         }
         DynSlot &d = t->slots[req.slot];
-        if (!d.waitingBus || !d.issued || d.completed)
+        if (!d.waitingBus || !(t->inFlightMask & slotBit(req.slot)))
             continue;   // stale request (slot was reissued/repaired)
 
         if (busPerPe[t->peId] >= cfg.maxCacheBusesPerPe) {
@@ -666,7 +678,7 @@ Processor::phaseCacheBuses()
         ++total;
         d.waitingBus = false;
 
-        if (d.isLoad()) {
+        if (isLoad(t->at(req.slot).inst.op)) {
             Arb::LoadResult r = arb.loadAccess(t->uid, req.slot, d.effAddr,
                                                mem);
             d.value = r.value;
@@ -701,11 +713,12 @@ Processor::phaseResultBuses()
         InFlightTrace *t = find(req.uid);
         if (!t || req.slot >= static_cast<int>(t->slots.size()))
             continue;
-        DynSlot &d = t->slots[req.slot];
+        const DynSlot &d = t->slots[req.slot];
         // Drop stale broadcasts: the slot must still be completed with
         // the same destination and value (repair / reissue enqueue fresh
         // requests of their own).
-        if (!d.completed || d.dest != req.dest || d.value != req.value)
+        if (!t->completed(req.slot) || d.dest != req.dest ||
+            d.value != req.value)
             continue;
 
         if (busPerPe[t->peId] >= cfg.maxBusesPerPe) {
@@ -735,8 +748,7 @@ Processor::phaseViolations()
         InFlightTrace *t = find(tag.uid);
         if (!t || tag.slot >= static_cast<int>(t->slots.size()))
             continue;
-        DynSlot &d = t->slots[tag.slot];
-        if (!d.isLoad())
+        if (!isLoad(t->at(tag.slot).inst.op))
             continue;
         ++stats.loadViolations;
         ++stats.reissueViol;
@@ -777,15 +789,15 @@ Processor::phaseEvents()
         if (!t || ev.slot >= static_cast<int>(t->slots.size()))
             continue;
         const DynSlot &d = t->slots[ev.slot];
+        const TraceSlot &s = t->at(ev.slot);
         int idx = windowIndex(ev.uid);
-        bool valid;
+        bool valid = t->completed(ev.slot);
         if (ev.indirect) {
-            valid = isIndirect(d.inst.op) && d.completed && idx >= 0 &&
-                idx + 1 < static_cast<int>(window.size()) &&
+            valid = valid && isIndirect(s.inst.op) && idx >= 0 &&
+                idx + 1 < static_cast<int>(windowPe.size()) &&
                 entryAt(idx + 1).trace->id.startPc != d.brTarget;
         } else {
-            valid = d.isCondBr && d.completed &&
-                d.resolvedTaken != d.predTaken;
+            valid = valid && s.isCondBr && d.resolvedTaken != s.taken;
         }
         if (!valid)
             continue;
@@ -809,7 +821,7 @@ Processor::phaseEvents()
     ++stats.mispEvents;
     if (ev.indirect) {
         ++stats.indirectMispEvents;
-        recoverIndirect(t, ev.slot);
+        recoverIndirect(t);
     } else {
         ++stats.condMispEvents;
         recoverCond(t, ev.slot);
@@ -828,9 +840,9 @@ Processor::mapAfter(const InFlightTrace &t) const
 PathHistory
 Processor::historyUpTo(int idx) const
 {
-    panic_if(idx >= static_cast<int>(window.size()),
+    panic_if(idx >= static_cast<int>(windowPe.size()),
              "historyUpTo: bad index %d", idx);
-    if (window.empty())
+    if (windowPe.empty())
         return PathHistory();
     // idx == -1 legitimately yields "history before the oldest trace".
     PathHistory h = entryAt(0).histBefore;
@@ -861,12 +873,13 @@ Processor::redirectAfterTrace(InFlightTrace &t, Cycle resume_at)
     }
 
     // Trace ends in an indirect branch.
-    const DynSlot &last = t.slots.back();
-    if (last.completed) {
-        frontend.redirect(h, last.brTarget, invalidAddr, resume_at);
-        dispatchExpectedPc = last.brTarget;
+    const int last = static_cast<int>(t.size()) - 1;
+    if (t.completed(last)) {
+        frontend.redirect(h, t.slots[last].brTarget, invalidAddr,
+                          resume_at);
+        dispatchExpectedPc = t.slots[last].brTarget;
     } else {
-        frontend.redirect(h, invalidAddr, last.pc, resume_at);
+        frontend.redirect(h, invalidAddr, t.at(last).pc, resume_at);
         dispatchExpectedPc = invalidAddr;
     }
 }
@@ -875,7 +888,7 @@ void
 Processor::redispatchFrom(int start_idx, Cycle first_cycle)
 {
     Cycle cyc = first_cycle;
-    for (size_t i = static_cast<size_t>(start_idx); i < window.size();
+    for (size_t i = static_cast<size_t>(start_idx); i < windowPe.size();
          ++i) {
         InFlightTrace &t = entryAt(i);
         t.histBefore = historyUpTo(static_cast<int>(i) - 1);
@@ -891,12 +904,12 @@ Processor::redispatchFrom(int start_idx, Cycle first_cycle)
 }
 
 int
-Processor::findCgciTarget(int t_idx, const DynSlot &branch)
+Processor::findCgciTarget(int t_idx, const TraceSlot &branch)
 {
     if (cfg.cgci == CgciHeuristic::NONE)
         return -1;
 
-    int n = static_cast<int>(window.size());
+    int n = static_cast<int>(windowPe.size());
 
     // MLB: a mispredicted backward branch is assumed to be a loop
     // branch; the nearest trace starting at its not-taken target is the
@@ -927,8 +940,8 @@ Processor::findCgciTarget(int t_idx, const DynSlot &branch)
 void
 Processor::recoverCond(InFlightTrace &t, int slot)
 {
-    DynSlot &branch = t.slots[slot];
-    bool corrected = branch.resolvedTaken;
+    const TraceSlot &branch = t.at(slot);
+    bool corrected = t.slots[slot].resolvedTaken;
     bool covered = cfg.fgci && branch.inRegion;
 
     // Only one unspliced CGCI gap can be outstanding: a new coarse
@@ -957,13 +970,8 @@ Processor::recoverCond(InFlightTrace &t, int slot)
     }
 
     // ARB cleanup for the suffix being replaced.
-    for (size_t i = rep.prefixLen; i < t.slots.size(); ++i) {
-        DynSlot &d = t.slots[i];
-        if (d.isLoad())
-            arb.loadRemove(t.uid, static_cast<int>(i));
-        if (d.isStore() && d.performed)
-            arb.storeUndo(t.uid, static_cast<int>(i));
-    }
+    for (size_t i = rep.prefixLen; i < t.size(); ++i)
+        arbRelease(t, static_cast<int>(i));
 
     // 2. Back the global rename maps up to this trace and re-rename.
     map = t.mapBefore;
@@ -976,7 +984,7 @@ Processor::recoverCond(InFlightTrace &t, int slot)
         // 3a. Fine-grain recovery: the PE arrangement is unaffected;
         // re-dispatch subsequent traces to repair register dependences.
         ++stats.recoveriesFgci;
-        stats.tracesPreserved += window.size() - t_idx - 1;
+        stats.tracesPreserved += windowPe.size() - t_idx - 1;
         redispatchFrom(t_idx + 1, rep.readyAt + 1);
         if (insertMode.active) {
             // The dispatch point is mid-window (between the inserted
@@ -994,10 +1002,10 @@ Processor::recoverCond(InFlightTrace &t, int slot)
         // control dependent traces and insert the correct ones.
         ++stats.recoveriesCgci;
         InFlightTrace *ci = &entryAt(ci_idx);
-        stats.tracesPreserved += window.size() - ci_idx;
+        stats.tracesPreserved += windowPe.size() - ci_idx;
         // Squash strictly between the mispredicted trace and the CI one.
         for (int i = ci_idx - 1; i > t_idx; --i)
-            squashTrace(window[i]);
+            squashTrace(entryAt(i).uid);
         insertMode.active = true;
         insertMode.targetUid = ci->uid;
         insertMode.deadline = curCycle + cfg.cgciReconvergeTimeout;
@@ -1013,7 +1021,7 @@ Processor::recoverCond(InFlightTrace &t, int slot)
 }
 
 void
-Processor::recoverIndirect(InFlightTrace &t, int slot)
+Processor::recoverIndirect(InFlightTrace &t)
 {
     // The trace itself is intact (indirects terminate traces); only the
     // trace-level sequencing after it was wrong. Squash and refetch from
@@ -1024,7 +1032,6 @@ Processor::recoverIndirect(InFlightTrace &t, int slot)
     releaseDeferredFrees();
     map = mapAfter(t);
     redirectAfterTrace(t, curCycle + 1);
-    (void)slot;
 }
 
 void
@@ -1033,40 +1040,24 @@ Processor::squashTrace(TraceUid uid)
     InFlightTrace *t = find(uid);
     panic_if(!t, "squashTrace: unknown trace");
 
-    for (size_t i = 0; i < t->slots.size(); ++i) {
-        DynSlot &d = t->slots[i];
-        if (d.isLoad())
-            arb.loadRemove(uid, static_cast<int>(i));
-        if (d.isStore() && d.performed)
-            arb.storeUndo(uid, static_cast<int>(i));
-    }
+    for (size_t i = 0; i < t->size(); ++i)
+        arbRelease(*t, static_cast<int>(i));
     for (const auto &lo : t->liveOuts)
         deferredFree.push_back(lo.phys);
 
-    stats.squashedInsts += t->slots.size();
+    stats.squashedInsts += t->size();
     ++stats.squashedTraces;
-
-    int pe = t->peId;
-    int idx = static_cast<int>(t->logicalPos);
-    freePes.push_back(pe);
-    peUid[pe] = invalidTraceUid;
-    t->trace.reset();
-    t->uid = invalidTraceUid;
-    window.erase(window.begin() + idx);
-    windowPe.erase(windowPe.begin() + idx);
-    refreshLogicalPositions();
+    releasePe(*t);
 
     if (insertMode.active && insertMode.targetUid == uid)
         insertMode.active = false;
-    if (lastDispatchedUid == uid)
-        lastDispatchedUid = invalidTraceUid;
 }
 
 void
 Processor::squashAllAfter(int idx)
 {
-    for (int i = static_cast<int>(window.size()) - 1; i > idx; --i)
-        squashTrace(window[i]);
+    for (int i = static_cast<int>(windowPe.size()) - 1; i > idx; --i)
+        squashTrace(entryAt(i).uid);
 }
 
 void
@@ -1077,8 +1068,8 @@ Processor::exitInsertModeAbandon()
     ++stats.cgciAbandoned;
     int ci_idx = windowIndex(insertMode.targetUid);
     panic_if(ci_idx < 0, "abandon: CI trace missing");
-    for (int i = static_cast<int>(window.size()) - 1; i >= ci_idx; --i)
-        squashTrace(window[i]);
+    for (int i = static_cast<int>(windowPe.size()) - 1; i >= ci_idx; --i)
+        squashTrace(entryAt(i).uid);
     insertMode.active = false;
     releaseDeferredFrees();
 }
@@ -1126,7 +1117,7 @@ Processor::phaseDispatch()
             insertMode.active = false;
             int ci_idx = windowIndex(ci->uid);
             redispatchFrom(ci_idx, curCycle + 1);
-            InFlightTrace &tail = entryAt(window.size() - 1);
+            InFlightTrace &tail = entryAt(windowPe.size() - 1);
             redirectAfterTrace(tail, curCycle + 1);
             releaseDeferredFrees();
             return;
@@ -1148,7 +1139,7 @@ Processor::phaseDispatch()
     if (dispatchExpectedPc != invalidAddr &&
         id.startPc != dispatchExpectedPc) {
         frontend.pop();     // discard the wrong-path trace
-        if (window.empty()) {
+        if (windowPe.empty()) {
             PathHistory h;
             frontend.redirect(h, dispatchExpectedPc, invalidAddr,
                               curCycle + 1);
@@ -1165,7 +1156,7 @@ Processor::phaseDispatch()
                 redirectAfterTrace(entryAt(ci_idx - 1), curCycle + 1);
             }
         } else {
-            redirectAfterTrace(entryAt(window.size() - 1), curCycle + 1);
+            redirectAfterTrace(entryAt(windowPe.size() - 1), curCycle + 1);
         }
         return;
     }
@@ -1176,10 +1167,11 @@ Processor::phaseDispatch()
         // Reclaim a PE from the most speculative preserved trace; if
         // only the CI trace itself is left, the insertion degenerates
         // to a full squash.
-        if (window.back() == insertMode.targetUid) {
+        const TraceUid tail = entryAt(windowPe.size() - 1).uid;
+        if (tail == insertMode.targetUid) {
             exitInsertModeAbandon();
         } else {
-            squashTrace(window.back());
+            squashTrace(tail);
         }
         if (freePes.empty())
             return;
@@ -1196,8 +1188,6 @@ Processor::phaseDispatch()
     initInFlightTrace(t, nextUid++, pt.trace, map, prf);
     t.peId = pe;
     t.histBefore = pt.histBefore;
-    t.fromPredictor = pt.fromPredictor;
-    t.dispatchedAt = curCycle;
     for (auto &d : t.slots)
         d.earliestIssue = curCycle + 1;
 
@@ -1213,10 +1203,8 @@ Processor::phaseDispatch()
     peUid[pe] = t.uid;
     if (insertMode.active) {
         int ci_idx = windowIndex(insertMode.targetUid);
-        window.insert(window.begin() + ci_idx, t.uid);
         windowPe.insert(windowPe.begin() + ci_idx, pe);
     } else {
-        window.push_back(t.uid);
         windowPe.push_back(pe);
     }
     refreshLogicalPositions();
@@ -1228,28 +1216,31 @@ Processor::phaseDispatch()
 // ---------------------------------------------------------------------
 
 void
-Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
+Processor::verifyRetiredSlot(const InFlightTrace &t, int slot)
 {
+    const DynSlot &d = t.slots[slot];
+    const TraceSlot &ts = t.at(slot);
     StepResult g = golden->step();
     auto mismatch = [&](const char *what) {
         fprintf(stderr, "--- trace %llu (pe %d, pos %lld) ---\n",
                 static_cast<unsigned long long>(t.uid), t.peId,
                 static_cast<long long>(t.logicalPos));
-        for (size_t i = 0; i < t.slots.size(); ++i) {
+        for (size_t i = 0; i < t.size(); ++i) {
             const DynSlot &s = t.slots[i];
             fprintf(stderr,
                     "  [%2zu] %-28s dep=(%d,%d) src=(%u,%u) dest=%u "
                     "val=%lld addr=%llu ic=%u%s%s\n",
-                    i, disassemble(s.pc, s.inst).c_str(), s.dep1, s.dep2,
-                    s.src1, s.src2, s.dest,
+                    i, disassemble(t.at(i).pc, t.at(i).inst).c_str(),
+                    s.dep1, s.dep2, s.src1, s.src2, s.dest,
                     static_cast<long long>(s.value),
                     static_cast<unsigned long long>(s.effAddr),
-                    s.issueCount, s.completed ? " C" : "",
+                    s.issueCount,
+                    t.completed(static_cast<int>(i)) ? " C" : "",
                     s.performed ? " P" : "");
         }
         panic("retire verify: %s mismatch at %s (uid %llu, golden pc "
               "%llu, golden val %lld, got %lld, golden addr %llu)",
-              what, disassemble(d.pc, d.inst).c_str(),
+              what, disassemble(ts.pc, ts.inst).c_str(),
               static_cast<unsigned long long>(t.uid),
               static_cast<unsigned long long>(g.pc),
               static_cast<long long>(g.destValue),
@@ -1257,26 +1248,26 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d)
               static_cast<unsigned long long>(g.memAddr));
     };
 
-    if (g.pc != d.pc || !(g.inst == d.inst))
+    if (g.pc != ts.pc || !(g.inst == ts.inst))
         mismatch("instruction");
-    if (d.isCondBr && g.taken != d.resolvedTaken)
+    if (ts.isCondBr && g.taken != d.resolvedTaken)
         mismatch("branch outcome");
-    if (writesReg(d.inst) && g.destValue != d.value)
+    if (writesReg(ts.inst) && g.destValue != d.value)
         mismatch("dest value");
-    if ((d.isLoad() || d.isStore())) {
+    if (isLoad(ts.inst.op) || isStore(ts.inst.op)) {
         if (g.memAddr != d.effAddr)
             mismatch("memory address");
         if (g.memValue != d.value)
             mismatch("memory value");
     }
-    if (isIndirect(d.inst.op) && g.nextPc != d.brTarget)
+    if (isIndirect(ts.inst.op) && g.nextPc != d.brTarget)
         mismatch("indirect target");
 }
 
 void
 Processor::phaseRetire()
 {
-    if (window.empty())
+    if (windowPe.empty())
         return;
     InFlightTrace &t = entryAt(0);
 
@@ -1286,10 +1277,10 @@ Processor::phaseRetire()
     if (insertMode.active && t.uid == insertMode.targetUid)
         return;
 
-    for (const auto &d : t.slots) {
-        if (!d.completed)
-            return;
-        if (d.isCondBr && d.resolvedTaken != d.predTaken)
+    if (t.completedMask != lowSlots(t.size()))
+        return;
+    for (size_t i = 0; i < t.size(); ++i) {
+        if (t.at(i).isCondBr && t.slots[i].resolvedTaken != t.at(i).taken)
             return;     // a misprediction event is pending
     }
     // The head trace may not retire while any of its live-out broadcasts
@@ -1311,7 +1302,7 @@ Processor::phaseRetire()
     // An unconfirmed indirect at the trace end: the successor must have
     // been validated (or no successor exists yet, in which case the
     // dispatchExpectedPc mechanism guards the next dispatch).
-    if (t.trace->endsInIndirect() && window.size() > 1) {
+    if (t.trace->endsInIndirect() && windowPe.size() > 1) {
         if (entryAt(1).trace->id.startPc != t.slots.back().brTarget)
             return;     // event is in flight
     }
@@ -1320,8 +1311,8 @@ Processor::phaseRetire()
     // continuation must match its successor. The only sanctioned
     // violation is the unspliced gap in front of a pending CGCI
     // insertion target.
-    if (t.trace->fallthroughPc != invalidAddr && window.size() > 1 &&
-        !(insertMode.active && window[1] == insertMode.targetUid)) {
+    if (t.trace->fallthroughPc != invalidAddr && windowPe.size() > 1 &&
+        !(insertMode.active && entryAt(1).uid == insertMode.targetUid)) {
         panic_if(entryAt(1).trace->id.startPc !=
                  t.trace->fallthroughPc,
                  "retire: successor does not continue the head trace "
@@ -1339,23 +1330,24 @@ Processor::phaseRetire()
 
     // Commit.
     bool halted = false;
-    for (size_t i = 0; i < t.slots.size(); ++i) {
+    for (size_t i = 0; i < t.size(); ++i) {
         const DynSlot &d = t.slots[i];
+        const TraceSlot &s = t.at(i);
         if (golden)
-            verifyRetiredSlot(t, d);
-        if (d.isStore()) {
+            verifyRetiredSlot(t, static_cast<int>(i));
+        if (isStore(s.inst.op)) {
             arb.commitStore(t.uid, static_cast<int>(i), mem);
             dcache.storeCommit(d.effAddr);
         }
-        if (d.isLoad())
+        if (isLoad(s.inst.op))
             arb.loadRemove(t.uid, static_cast<int>(i));
-        if (d.isCondBr) {
+        if (s.isCondBr) {
             ++stats.retiredCondBranches;
-            frontend.branchPredictor().update(d.pc, d.resolvedTaken);
+            frontend.branchPredictor().update(s.pc, d.resolvedTaken);
         }
-        if (isIndirect(d.inst.op))
-            frontend.branchPredictor().updateTarget(d.pc, d.brTarget);
-        if (d.inst.op == Opcode::HALT)
+        if (isIndirect(s.inst.op))
+            frontend.branchPredictor().updateTarget(s.pc, d.brTarget);
+        if (s.inst.op == Opcode::HALT)
             halted = true;
         ++stats.retiredInsts;
     }
@@ -1371,19 +1363,9 @@ Processor::phaseRetire()
     frontend.trainRetire(t.trace->id);
 
     ++stats.retiredTraces;
-    stats.retiredTraceLenSum += t.slots.size();
+    stats.retiredTraceLenSum += t.size();
     lastRetireCycle = curCycle;
-
-    freePes.push_back(t.peId);
-    TraceUid uid = t.uid;
-    if (lastDispatchedUid == uid)
-        lastDispatchedUid = invalidTraceUid;
-    peUid[t.peId] = invalidTraceUid;
-    t.trace.reset();
-    t.uid = invalidTraceUid;
-    window.erase(window.begin());
-    windowPe.erase(windowPe.begin());
-    refreshLogicalPositions();
+    releasePe(t);
 
     if (halted)
         simDone = true;
@@ -1392,22 +1374,24 @@ Processor::phaseRetire()
 void
 Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
 {
-    const size_t n = t.slots.size();
-    panic_if(n > maxSlotsPerTrace, "trace wider than the slot masks "
-             "(pos %zu, %zu slots)", pos, n);
-    uint64_t not_issued = 0, in_flight = 0, completed = 0, ready = 0;
+    const size_t n = t.size();
+    panic_if(n > maxSlotsPerTrace || n != t.trace->size(),
+             "slot array does not match the trace (pos %zu, %zu slots)",
+             pos, n);
+    // The status masks partition exactly the trace's slots.
+    panic_if((t.notIssuedMask & t.inFlightMask) ||
+                 (t.notIssuedMask & t.completedMask) ||
+                 (t.inFlightMask & t.completedMask) ||
+                 (t.notIssuedMask | t.inFlightMask | t.completedMask) !=
+                     lowSlots(n),
+             "status masks do not partition the slots (pos %zu)", pos);
+
+    uint64_t ready = 0;
     std::vector<uint64_t> consumers(n, 0);
     for (size_t i = 0; i < n; ++i) {
         const DynSlot &d = t.slots[i];
+        const Instruction &inst = t.at(i).inst;
         const uint64_t bit = slotBit(static_cast<int>(i));
-        panic_if(d.completed && !d.issued,
-                 "completed slot not issued (pos %zu, slot %zu)", pos, i);
-        if (d.completed)
-            completed |= bit;
-        else if (d.issued)
-            in_flight |= bit;
-        else
-            not_issued |= bit;
 
         // Renamed operands: a source is either an earlier in-trace
         // producer or a live-in register, exactly when it is read.
@@ -1424,19 +1408,21 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
                 consumers[dep] |= bit;
             }
         };
-        check_src(readsRs1(d.inst), d.dep1, d.src1);
-        check_src(readsRs2(d.inst), d.dep2, d.src2);
+        check_src(readsRs1(inst), d.dep1, d.src1);
+        check_src(readsRs2(inst), d.dep2, d.src2);
         panic_if(d.producers != producers,
                  "producer mask out of sync (pos %zu, slot %zu)", pos, i);
+        if ((producers & ~t.completedMask) == 0)
+            ready |= bit;
 
-        // Between cycles a parked slot still waits on a live-in with no
-        // value, and parkSig covers that register.
+        // Between cycles a parked slot is still un-issued and waits on a
+        // live-in with no value, and parkSig covers that register.
         if (t.parkedMask & bit) {
             auto waits_on = [&](PhysReg r) {
                 return r != invalidPhysReg && !prf.hasValue(r) &&
                     (t.parkSig & PhysRegFile::sigBit(r));
             };
-            panic_if(d.issued || d.completed ||
+            panic_if(!(t.notIssuedMask & bit) ||
                          !(waits_on(d.src1) || waits_on(d.src2)),
                      "parked slot can issue (pos %zu, slot %zu)", pos, i);
         }
@@ -1444,13 +1430,7 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
     for (size_t i = 0; i < n; ++i) {
         panic_if(t.slots[i].consumers != consumers[i],
                  "consumer mask out of sync (pos %zu, slot %zu)", pos, i);
-        if ((t.slots[i].producers & ~completed) == 0)
-            ready |= slotBit(static_cast<int>(i));
     }
-    panic_if(not_issued != t.notIssuedMask ||
-                 in_flight != t.inFlightMask ||
-                 completed != t.completedMask,
-             "slot masks out of sync with slot flags (pos %zu)", pos);
     panic_if(ready != t.localReadyMask,
              "local-ready mask out of sync (pos %zu)", pos);
 }
@@ -1458,16 +1438,15 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
 void
 Processor::checkInvariants() const
 {
-    panic_if(window.size() + freePes.size() !=
+    panic_if(windowPe.size() + freePes.size() !=
              static_cast<size_t>(cfg.numPEs),
              "PE accounting broken: %zu in window + %zu free != %d",
-             window.size(), freePes.size(), cfg.numPEs);
-    for (size_t i = 0; i < window.size(); ++i) {
-        int pe = windowPe[i];
-        panic_if(peUid[pe] != window[i],
+             windowPe.size(), freePes.size(), cfg.numPEs);
+    for (size_t i = 0; i < windowPe.size(); ++i) {
+        const InFlightTrace &t = entryAt(i);
+        panic_if(t.uid == invalidTraceUid || peUid[windowPe[i]] != t.uid,
                  "window entry without trace (pos %zu)", i);
-        const InFlightTrace &t = pePool[pe];
-        panic_if(t.uid != window[i], "pool uid out of sync");
+        panic_if(t.peId != windowPe[i], "pool PE id out of sync");
         panic_if(t.logicalPos != static_cast<int64_t>(i),
                  "stale logical position");
         checkSlotMasks(t, i);

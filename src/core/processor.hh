@@ -17,11 +17,13 @@
  *
  * The cycle loop is serial and every phase runs in window order; the
  * issue and completion phases are event-driven within a trace: per-PE
- * slot masks (not issued / in flight / completed / locally ready) let
- * them visit only the slots that can act, in slot order, and a
- * completion wakes or reissues exactly its local consumers. Statistics
- * are those of a full slot-by-slot scan, and tests/test_golden.cc pins
- * them bit for bit.
+ * slot masks (not issued / in flight / completed / locally ready),
+ * which are the slots' status itself, let them visit only the slots
+ * that can act, in slot order, and a completion wakes or reissues
+ * exactly its local consumers. A PE keeps only issue and execution
+ * state; static slot facts are read from the trace it holds.
+ * Statistics are those of a full slot-by-slot scan, and
+ * tests/test_golden.cc pins them bit for bit.
  */
 
 #ifndef TPROC_CORE_PROCESSOR_HH
@@ -50,7 +52,7 @@ namespace tproc
  * harnesses (sweep fault isolation, the soak campaign) get the machine
  * state as structured fields rather than a formatted string to regex:
  * the firing cycle, the stall length, the window occupancy, and the
- * workload/seed identity the harness stamped via Processor::setIdentity.
+ * workload/seed identity the harness set in ProcessorConfig::identity.
  * Outside a capture it degrades to the usual panic/abort.
  */
 struct WatchdogError : SimError
@@ -188,18 +190,14 @@ class Processor
     const ProcessorStats &statsSoFar() const { return stats; }
 
     /** Window occupancy (diagnostics / tests). */
-    size_t windowSize() const { return window.size(); }
-
-    /** Stamp a workload/seed identity onto watchdog errors (harness
-     *  use; has no effect on the simulation itself). */
-    void setIdentity(std::string id) { identity = std::move(id); }
+    size_t windowSize() const { return windowPe.size(); }
 
     /** Scheduler work counters so far. */
     const SchedWork &schedWork() const { return work; }
 
     /** Check internal invariants (tests call this liberally): PE
-     *  accounting, and each resident trace's slot masks against its
-     *  slot flags and dep1/dep2. */
+     *  accounting, and each resident trace's slot masks against each
+     *  other, against dep1/dep2, and against the register file. */
     void checkInvariants() const;
 
     /** @name Windowed telemetry (cfg.metricsInterval > 0).
@@ -266,9 +264,12 @@ class Processor
     {
         return pePool[windowPe[wpos]];
     }
-    int windowIndex(TraceUid uid) const;    //!< -1 if absent
-    int64_t orderOf(TraceUid uid) const;    //!< ARB ordering callback
+    /** Window position of a trace, -1 if absent (also the ARB's
+     *  ordering callback). */
+    int windowIndex(TraceUid uid) const;
     void refreshLogicalPositions();
+    /** Unlink t from the window and return its PE to the free list. */
+    void releasePe(InFlightTrace &t);
     /// @}
 
     /** @name Pipeline phases. */
@@ -296,12 +297,15 @@ class Processor
     void completeSlot(InFlightTrace &t, int slot);
     void reissueSlot(InFlightTrace &t, int slot, Cycle earliest);
     void reissueConsumersOf(PhysReg reg);
+    /** Drop a slot's speculative ARB state: its load record and, once
+     *  performed, its store version. */
+    void arbRelease(const InFlightTrace &t, int slot);
     /// @}
 
     /** @name Recovery. */
     /// @{
     void recoverCond(InFlightTrace &t, int slot);
-    void recoverIndirect(InFlightTrace &t, int slot);
+    void recoverIndirect(InFlightTrace &t);
     /** Squash one trace (ARB cleanup, register frees, PE release). */
     void squashTrace(TraceUid uid);
     /** Squash window entries with index > idx (from the tail down). */
@@ -317,12 +321,12 @@ class Processor
     void redispatchFrom(int start_idx, Cycle first_cycle);
     /** Locate the first control independent trace per the CGCI
      *  heuristics; -1 if none. @param t the mispredicted trace's index */
-    int findCgciTarget(int t_idx, const DynSlot &branch);
+    int findCgciTarget(int t_idx, const TraceSlot &branch);
     void exitInsertModeAbandon();
     void releaseDeferredFrees();
     /// @}
 
-    void verifyRetiredSlot(const InFlightTrace &t, const DynSlot &d);
+    void verifyRetiredSlot(const InFlightTrace &t, int slot);
     void checkSlotMasks(const InFlightTrace &t, size_t pos) const;
 
     const Program &prog;
@@ -339,15 +343,14 @@ class Processor
     SparseMemory mem;       //!< committed memory state
     std::unique_ptr<ArchSource> golden;
 
-    /** The linked-list window: trace uids in logical (program) order. */
-    std::vector<TraceUid> window;
-    /** PE index of each window entry (parallel to window): the paper's
-     *  physical-to-logical translation, giving O(1) access from a
-     *  window position to the resident trace. */
+    /** The linked-list window: the PE of each resident trace in logical
+     *  (program) order — the paper's physical-to-logical translation,
+     *  giving O(1) access from a window position to the trace (its uid
+     *  is entryAt(i).uid). */
     std::vector<int> windowPe;
     /**
      * Flat PE slot pool, indexed by PE id. Each PE holds at most one
-     * in-flight trace (window.size() + freePes.size() == numPEs), so
+     * in-flight trace (windowPe.size() + freePes.size() == numPEs), so
      * the pool replaces the old uid-keyed map of heap-allocated
      * traces: dispatch re-initializes a pool entry in place (vector
      * capacities survive, so the steady state allocates nothing), and
@@ -387,8 +390,6 @@ class Processor
     void sampleMetrics(uint64_t elapsed);
 
     InsertMode insertMode;
-
-    std::string identity;   //!< harness-stamped label for watchdog errors
 
     Cycle curCycle = 0;
     Cycle dispatchBusyUntil = 0;

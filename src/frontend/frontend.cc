@@ -97,7 +97,6 @@ Frontend::cycle(Cycle now)
         } else {
             pt = construct(now, start_pc, pred);
         }
-        pt.fromPredictor = true;
     } else {
         // Without a prediction the trace cache cannot be indexed; fetch
         // from the instruction cache (outcomes from the simple branch

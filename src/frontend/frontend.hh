@@ -35,7 +35,6 @@ struct PendingTrace
     std::shared_ptr<const Trace> trace;
     Cycle readyAt = 0;
     PathHistory histBefore;
-    bool fromPredictor = false;
     bool tcacheHit = false;
 };
 

@@ -10,19 +10,6 @@ namespace tproc
 namespace
 {
 
-/** Copy the static portion of a trace slot into a DynSlot. */
-void
-setStatic(DynSlot &d, const TraceSlot &s)
-{
-    d.pc = s.pc;
-    d.inst = s.inst;
-    d.isCondBr = s.isCondBr;
-    d.predTaken = s.taken;
-    d.inRegion = s.inRegion;
-    d.regionStart = s.regionStart;
-    d.reconvPc = s.reconvPc;
-}
-
 /**
  * Compute intra-trace dependences, the local producer/consumer masks
  * and live-in sources for all slots. Does not touch destinations.
@@ -36,32 +23,28 @@ computeDeps(InFlightTrace &t, const RenameMap &map)
 
     for (size_t i = 0; i < t.slots.size(); ++i) {
         DynSlot &d = t.slots[i];
+        const Instruction &inst = t.at(i).inst;
         d.dep1 = d.dep2 = -1;
         d.src1 = d.src2 = invalidPhysReg;
         d.producers = d.consumers = 0;
-        const uint64_t bit = slotBit(static_cast<int>(i));
-        if (readsRs1(d.inst)) {
-            int w = last_writer[d.inst.rs1];
-            if (w >= 0) {
-                d.dep1 = w;
-                d.producers |= slotBit(w);
-                t.slots[w].consumers |= bit;
-            } else {
-                d.src1 = map[d.inst.rs1];
+        // A read source links to its in-trace producer, else to the
+        // live-in register the map names.
+        auto link = [&](bool reads, ArchReg r, int &dep, PhysReg &src) {
+            if (!reads)
+                return;
+            const int w = last_writer[r];
+            if (w < 0) {
+                src = map[r];
+                return;
             }
-        }
-        if (readsRs2(d.inst)) {
-            int w = last_writer[d.inst.rs2];
-            if (w >= 0) {
-                d.dep2 = w;
-                d.producers |= slotBit(w);
-                t.slots[w].consumers |= bit;
-            } else {
-                d.src2 = map[d.inst.rs2];
-            }
-        }
-        if (writesReg(d.inst))
-            last_writer[d.inst.rd] = static_cast<int>(i);
+            dep = w;
+            d.producers |= slotBit(w);
+            t.slots[w].consumers |= slotBit(static_cast<int>(i));
+        };
+        link(readsRs1(inst), inst.rs1, d.dep1, d.src1);
+        link(readsRs2(inst), inst.rs2, d.dep2, d.src2);
+        if (writesReg(inst))
+            last_writer[inst.rd] = static_cast<int>(i);
     }
     return last_writer;
 }
@@ -87,17 +70,12 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
     t.uid = uid;
     t.mapBefore = map;
     t.peId = -1;
-    t.fromPredictor = false;
     t.logicalPos = -1;
-    t.dispatchedAt = 0;
-    t.pendingMisp = 0;
 
     // assign() (not resize) so slots recycled from the previous occupant
     // of this pool entry start from default dynamic state; the vector
     // keeps its capacity.
     t.slots.assign(trace->slots.size(), DynSlot{});
-    for (size_t i = 0; i < trace->slots.size(); ++i)
-        setStatic(t.slots[i], trace->slots[i]);
     t.trace = std::move(trace);
 
     auto last_writer = computeDeps(t, map);
@@ -114,16 +92,7 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
         map[a] = p;
     }
 
-    t.recountPending();
-}
-
-std::unique_ptr<InFlightTrace>
-makeInFlightTrace(TraceUid uid, std::shared_ptr<const Trace> trace,
-                  RenameMap &map, PhysRegFile &prf)
-{
-    auto t = std::make_unique<InFlightTrace>();
-    initInFlightTrace(*t, uid, std::move(trace), map, prf);
-    return t;
+    t.resetStatusFrom(0);
 }
 
 void
@@ -146,25 +115,19 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
         old_slot[lo.arch] = lo.slot;
     }
 
-    // Rebuild the slot array: prefix keeps dynamic state, suffix is new.
-    std::vector<DynSlot> slots(new_trace->slots.size());
-    for (size_t i = 0; i < slots.size(); ++i) {
-        if (i < prefix_len)
-            slots[i] = t.slots[i];      // keep dynamic state
-        setStatic(slots[i], new_trace->slots[i]);
-        if (i < prefix_len) {
-            // Verify selection determinism: the repaired trace must share
-            // the instruction prefix (outcome flags may differ only on
-            // the repaired branch, which is the last prefix slot).
-            panic_if(slots[i].pc != t.slots[i].pc ||
-                     !(slots[i].inst == t.slots[i].inst),
-                     "repair: prefix mismatch at slot %zu", i);
-        } else {
-            slots[i].resetDynamic();
-            slots[i].dest = invalidPhysReg;
-        }
+    // Verify selection determinism: the repaired trace must share the
+    // instruction prefix (outcome flags may differ only on the repaired
+    // branch, which is the last prefix slot).
+    for (size_t i = 0; i < prefix_len; ++i) {
+        const TraceSlot &o = t.at(i), &n = new_trace->slots[i];
+        panic_if(o.pc != n.pc || !(o.inst == n.inst),
+                 "repair: prefix mismatch at slot %zu", i);
     }
-    t.slots = std::move(slots);
+
+    // The prefix keeps its dynamic state; the suffix starts from fresh
+    // slots.
+    t.slots.resize(prefix_len);
+    t.slots.resize(new_trace->slots.size());
     t.trace = std::move(new_trace);
 
     auto last_writer = computeDeps(t, map);
@@ -194,8 +157,7 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
             // A prefix slot that newly became a live-out and has already
             // completed must publish its value now; nothing will complete
             // again to write the register.
-            if (static_cast<size_t>(w) < prefix_len &&
-                t.slots[w].completed) {
+            if (static_cast<size_t>(w) < prefix_len && t.completed(w)) {
                 prf.write(p, t.slots[w].value, now + 2);
             }
         }
@@ -211,9 +173,8 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
             deferred_free.push_back(old_phys[a]);
     }
 
-    // The slot array was rebuilt wholesale; re-derive the slot masks
-    // from the surviving prefix + fresh suffix flags.
-    t.recountPending();
+    // Prefix status bits survive; the suffix is not issued.
+    t.resetStatusFrom(prefix_len);
 }
 
 std::vector<int>
@@ -224,22 +185,16 @@ redispatchInFlightTrace(InFlightTrace &t, RenameMap &map)
 
     for (size_t i = 0; i < t.slots.size(); ++i) {
         DynSlot &d = t.slots[i];
-        bool dirty = false;
-        if (d.dep1 < 0 && readsRs1(d.inst)) {
-            PhysReg p = map[d.inst.rs1];
-            if (p != d.src1) {
-                d.src1 = p;
-                dirty = true;
-            }
-        }
-        if (d.dep2 < 0 && readsRs2(d.inst)) {
-            PhysReg p = map[d.inst.rs2];
-            if (p != d.src2) {
-                d.src2 = p;
-                dirty = true;
-            }
-        }
-        if (dirty)
+        const Instruction &inst = t.at(i).inst;
+        // src* is valid exactly for the live-in operands.
+        auto repoint = [&](ArchReg r, PhysReg &src) {
+            if (src == invalidPhysReg || src == map[r])
+                return false;
+            src = map[r];
+            return true;
+        };
+        const bool dirty1 = repoint(inst.rs1, d.src1);
+        if (repoint(inst.rs2, d.src2) || dirty1)
             changed.push_back(static_cast<int>(i));
     }
 

@@ -42,8 +42,19 @@ lowestSlot(uint64_t m)
     return __builtin_ctzll(m);
 }
 
+/** Mask of slots [0, n) (n <= maxSlotsPerTrace). */
+constexpr uint64_t
+lowSlots(size_t n)
+{
+    return n >= maxSlotsPerTrace ? ~uint64_t(0)
+                                 : slotBit(static_cast<int>(n)) - 1;
+}
+
 /**
- * Dynamic state of one instruction slot in a PE.
+ * Dynamic state of one instruction slot in a PE. The static facts (pc,
+ * instruction, selection-time branch outcome, FGCI region flags) stay
+ * in the trace (InFlightTrace::at), and the issue status lives in the
+ * trace's slot masks; a DynSlot holds only what execution adds.
  *
  * Field order is load-bearing for the hot path: the issue walk reads
  * the issue gate and the renamed sources of each candidate, the
@@ -73,22 +84,16 @@ struct DynSlot
     uint32_t issueCount = 0;        //!< times issued (reissue statistics)
     /// @}
 
-    /** @name Scheduling flags. */
+    /** @name Execution flags. */
     /// @{
-    bool issued = false;
-    bool completed = false;
     bool waitingBus = false;    //!< agen done, waiting for a cache bus
     bool agenDone = false;      //!< effective address computed
     bool performed = false;     //!< store version live in the ARB
-    bool isCondBr = false;
-    bool predTaken = false;     //!< outcome the trace was selected with
     bool resolvedTaken = false;     //!< branch outcome of last execution
     /** Value-change filter across reissues: consumers only reissue when
      *  a recompletion actually produced a different value. Deliberately
      *  not cleared by resetDynamic. */
     bool everCompleted = false;
-    bool inRegion = false;
-    bool regionStart = false;
     /// @}
 
     /** @name Execution state. */
@@ -97,30 +102,16 @@ struct DynSlot
     int64_t lastValue = 0;
     int64_t srcVal1 = 0;    //!< operand values captured at issue
     int64_t srcVal2 = 0;
-    /// @}
-
-    /** @name Static portion (copied from the selected trace). */
-    /// @{
-    Addr pc = 0;
-    Instruction inst;
-    Addr reconvPc = invalidAddr;
-    /// @}
-
-    /** @name Memory state. */
-    /// @{
     Addr effAddr = invalidAddr;
     Addr brTarget = invalidAddr;    //!< resolved indirect target
     /// @}
 
-    bool isLoad() const { return inst.op == Opcode::LD; }
-    bool isStore() const { return inst.op == Opcode::ST; }
-
     /** Clear execution state so the slot issues again from scratch.
-     *  earliestIssue is preserved; callers adjust it explicitly. */
+     *  earliestIssue is preserved; callers adjust it explicitly, and
+     *  the slot's status bits are the caller's (InFlightTrace masks). */
     void
     resetDynamic()
     {
-        issued = completed = false;
         execDoneAt = 0;
         value = 0;
         resolvedTaken = false;
@@ -146,6 +137,7 @@ struct InFlightTrace
     TraceUid uid = invalidTraceUid;
     std::shared_ptr<const Trace> trace;
     int peId = -1;
+    /** One per trace slot (slots.size() == trace->size()). */
     std::vector<DynSlot> slots;
     std::vector<LiveOut> liveOuts;
 
@@ -154,32 +146,22 @@ struct InFlightTrace
     RenameMap mapBefore;
     /** Trace predictor path history before this trace was predicted. */
     PathHistory histBefore;
-    /** True if the trace came from the next-trace predictor (vs. being a
-     *  forced fallthrough / fallback construction). */
-    bool fromPredictor = false;
 
     /** Logical position in the window; re-derived from the PE linked
      *  list whenever the window changes (disambiguation support). */
     int64_t logicalPos = -1;
 
-    Cycle dispatchedAt = 0;
-
-    /** Count of executed-and-unhandled branch mispredictions inside this
-     *  trace (retirement gate). */
-    int pendingMisp = 0;
-
     /** @name Slot masks (bit i = slot i).
-     * Derived from the slots' (issued, completed) flags and producer
-     * masks, maintained by the processor's issue/complete/reissue
-     * transitions and recounted wholesale after structural repair. The
+     * The slot status itself: there are no per-slot issued/completed
+     * flags. The first three partition the slots; the processor's
+     * issue/complete/reissue transitions move bits between them, and
+     * resetStatusFrom() re-marks a dispatched or repaired suffix. The
      * issue and completion phases walk their set bits instead of every
-     * slot, and skip a trace whose mask is empty — pure scheduling
-     * metadata, so they cannot change simulation results. The first
-     * three partition the slots. */
+     * slot, and skip a trace whose mask is empty. */
     /// @{
-    uint64_t notIssuedMask = 0;     //!< !issued && !completed
-    uint64_t inFlightMask = 0;      //!< issued && !completed
-    uint64_t completedMask = 0;     //!< completed
+    uint64_t notIssuedMask = 0;     //!< never issued, or reissued since
+    uint64_t inFlightMask = 0;      //!< issued, not yet completed
+    uint64_t completedMask = 0;     //!< issued and completed
     /** Slots whose in-trace producers have all completed (operand
      *  wakeup: a completion sets its consumers' bits, a reissue of a
      *  completed slot clears them). */
@@ -194,6 +176,11 @@ struct InFlightTrace
 
     size_t size() const { return slots.size(); }
 
+    /** Static facts of slot i, read from the trace. */
+    const TraceSlot &at(size_t i) const { return trace->slots[i]; }
+
+    bool completed(int i) const { return completedMask & slotBit(i); }
+
     /** True iff every in-trace producer of d has completed. */
     bool
     locallyReady(const DynSlot &d) const
@@ -201,21 +188,16 @@ struct InFlightTrace
         return (d.producers & ~completedMask) == 0;
     }
 
-    /** Recompute the slot masks from the slot flags. */
+    /** Mark slots [from, size()) not issued, keep the status of the
+     *  slots before them, and recompute local readiness (dispatch
+     *  passes 0, repair the surviving prefix length). Unparks all. */
     void
-    recountPending()
+    resetStatusFrom(size_t from)
     {
-        notIssuedMask = inFlightMask = completedMask = 0;
-        for (size_t i = 0; i < slots.size(); ++i) {
-            const DynSlot &d = slots[i];
-            uint64_t bit = slotBit(static_cast<int>(i));
-            if (d.completed)
-                completedMask |= bit;
-            else if (d.issued)
-                inFlightMask |= bit;
-            else
-                notIssuedMask |= bit;
-        }
+        const uint64_t keep = lowSlots(from);
+        notIssuedMask = (notIssuedMask & keep) | (lowSlots(size()) & ~keep);
+        inFlightMask &= keep;
+        completedMask &= keep;
         localReadyMask = parkedMask = parkSig = 0;
         for (size_t i = 0; i < slots.size(); ++i) {
             if (locallyReady(slots[i]))
@@ -238,17 +220,13 @@ void initInFlightTrace(InFlightTrace &t, TraceUid uid,
                        std::shared_ptr<const Trace> trace, RenameMap &map,
                        PhysRegFile &prf);
 
-/** Allocating convenience wrapper around initInFlightTrace (tests). */
-std::unique_ptr<InFlightTrace> makeInFlightTrace(
-    TraceUid uid, std::shared_ptr<const Trace> trace, RenameMap &map,
-    PhysRegFile &prf);
-
 /**
  * Replace the instructions of a PE-resident trace after slot prefix_len
  * with the repaired trace's instructions (FGCI-style intra-PE repair).
  *
- * Slots [0, prefix_len) keep their dynamic state; the repaired trace is
- * guaranteed by selection determinism to share that prefix. Live-out
+ * Slots [0, prefix_len) keep their dynamic state and status bits; the
+ * repaired trace is guaranteed by selection determinism to share that
+ * prefix, and the suffix is marked not issued. Live-out
  * physical registers of surviving prefix last-writers are preserved; old
  * suffix live-outs are appended to deferred_free (released once the
  * subsequent re-dispatch pass has re-pointed all consumers).

@@ -141,11 +141,12 @@ TEST(Recovery, SlotMasksHoldEveryCycle)
 {
     // Recovery-heavy workloads on the full CI model: dispatch, FGCI
     // repair, CGCI insertion, redispatch and squash all rewrite slot
-    // state, and the scheduling masks must track the slot flags and
-    // the renamed dependences through every one of them. jpeg at 64
-    // fills the masks to their last bit.
+    // state, and the scheduling masks must stay a partition of the
+    // slots and track the renamed dependences through every one of
+    // them. jpeg and go at 64 fill the masks to their last bit, go
+    // with misprediction-heavy repair.
     const std::pair<const char *, int> cases[] = {
-        {"go", 32}, {"compress", 32}, {"jpeg", 64}};
+        {"go", 32}, {"compress", 32}, {"jpeg", 64}, {"go", 64}};
     for (const auto &[wl, len] : cases) {
         SCOPED_TRACE(std::string(wl) + " maxTraceLen=" +
                      std::to_string(len));
