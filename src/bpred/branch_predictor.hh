@@ -53,6 +53,9 @@ class BranchPredictor
     /** Record the resolved target of an indirect branch. */
     void updateTarget(Addr pc, Addr target);
 
+    /** Table entries the constructor initialised. */
+    size_t setupEntries() const { return table.size(); }
+
   private:
     size_t index(Addr pc) const { return pc & mask; }
 

@@ -45,6 +45,9 @@ class SetAssocCache
     size_t associativity() const { return ways; }
     size_t lineBytes() const { return lineSize; }
 
+    /** Table entries the constructor initialised. */
+    size_t setupEntries() const { return array.size(); }
+
   private:
     struct Way
     {

@@ -1,7 +1,6 @@
 /**
  * @file
- * Saturating counter used by the branch predictor, trace predictor, and
- * BIT replacement hysteresis.
+ * Saturating counter used by the branch predictor.
  */
 
 #ifndef TPROC_COMMON_SAT_COUNTER_HH

@@ -82,10 +82,9 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
           return static_cast<int64_t>(windowIndex(uid));
       }),
       prf(cfg.physRegs), map(PhysRegFile::initialMap()),
-      retireMap(PhysRegFile::initialMap()),
+      retireMap(PhysRegFile::initialMap()), mem(prog_.dataInit),
       dispatchExpectedPc(prog_.entry)
 {
-    mem.load(prog.dataInit);
     if (cfg.verifyRetirement) {
         golden = golden_source ? std::move(golden_source)
                                : std::make_unique<Emulator>(prog);
@@ -102,6 +101,14 @@ Processor::Processor(const Program &prog_, const ProcessorConfig &cfg_,
             cfg.metricsInterval, metricsChannels(), cfg.metricsCapacity);
         metrics->countdown = cfg.metricsInterval;
     }
+
+    setup.windowWords = mem.windowWords() ? prog.dataInit.size() : 0;
+    setup.overflowWords = prog.dataInit.size() - setup.windowWords;
+    setup.tableEntries = frontend.tracePredictor().setupEntries() +
+        prf.setupEntries() + frontend.branchPredictor().setupEntries() +
+        frontend.icache().tags().setupEntries() +
+        dcache.tags().setupEntries() + frontend.bitTable().setupEntries() +
+        frontend.traceCache().setupEntries();
 }
 
 Processor::~Processor() = default;

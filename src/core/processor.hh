@@ -165,6 +165,21 @@ struct SchedWork
     }
 };
 
+/**
+ * Host-independent work the Processor constructor did, kept outside
+ * ProcessorStats like SchedWork: the committed memory's data-image words
+ * and the table entries each structure's constructor initialised
+ * (trace predictor, register file, BTB, instruction and data caches,
+ * BIT, trace cache). A live run's golden Emulator loads its own copy of
+ * the image; that copy is not counted.
+ */
+struct SetupWork
+{
+    uint64_t windowWords = 0;   //!< image words placed in the dense window
+    uint64_t overflowWords = 0; //!< image words placed in the overflow map
+    uint64_t tableEntries = 0;  //!< table entries constructors initialised
+};
+
 class Processor
 {
   public:
@@ -194,6 +209,9 @@ class Processor
 
     /** Scheduler work counters so far. */
     const SchedWork &schedWork() const { return work; }
+
+    /** What construction cost, in words and table entries. */
+    const SetupWork &setupWork() const { return setup; }
 
     /** Check internal invariants (tests call this liberally): PE
      *  accounting, and each resident trace's slot masks against each
@@ -333,6 +351,7 @@ class Processor
     ProcessorConfig cfg;
     ProcessorStats stats;
     SchedWork work;
+    SetupWork setup;
 
     Frontend frontend;
     DCache dcache;

@@ -26,16 +26,17 @@ ProcessorStats runModel(const Program &prog, std::string_view model,
                         bool verify = true);
 
 /**
- * Observations carried out of one runConfig call: the scheduler work
- * counters, and — when the configuration enables windowed sampling
- * (cfg.metricsInterval > 0) — the interval series plus the wall time
- * the cycle loop spent polling the window for completions and issue
- * versus everything else. Pure observation — requesting it never
- * changes ProcessorStats (docs/metrics.md).
+ * Observations carried out of one runConfig call: the scheduler and
+ * construction work counters, and — when the configuration enables
+ * windowed sampling (cfg.metricsInterval > 0) — the interval series
+ * plus the wall time the cycle loop spent polling the window for
+ * completions and issue versus everything else. Pure observation —
+ * requesting it never changes ProcessorStats (docs/metrics.md).
  */
 struct RunMetrics
 {
     SchedWork sched;
+    SetupWork setup;
     IntervalSeries series;
     double computeSeconds = 0.0; //!< completion + issue polling
     double cycleSeconds = 0.0;   //!< whole cycle loop, compute included
@@ -49,7 +50,7 @@ struct RunMetrics
  * The run is timed under the "simulate" phase of PhaseTimers::global();
  * when cfg.metricsInterval > 0 the cycle-loop split is folded into the
  * "cycle_compute" / "cycle_commit" phases. A non-null metrics_out
- * receives the scheduler work counters and any sampled series.
+ * receives the work counters and any sampled series.
  */
 ProcessorStats runConfig(const Program &prog, const ProcessorConfig &cfg,
                          uint64_t max_insts = UINT64_MAX,

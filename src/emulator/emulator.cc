@@ -5,6 +5,32 @@
 namespace tproc
 {
 
+SparseMemory::SparseMemory(const DataImage &image)
+{
+    if (image.empty())
+        return;
+    const Addr lo = image.front().first;
+    const Addr hi = image.back().first;
+    const bool dense = hi >= lo && hi - lo < windowSlack * image.size();
+    if (dense) {
+        windowBase = lo;
+        window.resize(hi - lo + 1);
+    } else {
+        overflow.reserve(image.size());
+    }
+    // The order check also keeps every window index in bounds.
+    for (size_t i = 0; i < image.size(); ++i) {
+        const auto &[addr, value] = image[i];
+        panic_if((i > 0 && addr <= image[i - 1].first) || addr > hi,
+                 "SparseMemory: data image not strictly increasing at %llu",
+                 static_cast<unsigned long long>(addr));
+        if (dense)
+            window[addr - lo] = value;
+        else
+            overflow.emplace(addr, value);
+    }
+}
+
 int64_t
 evalAlu(Opcode op, int64_t a, int64_t b, int64_t imm)
 {
@@ -48,9 +74,9 @@ evalBranch(Opcode op, int64_t a, int64_t b)
     }
 }
 
-Emulator::Emulator(const Program &prog_) : prog(prog_), curPc(prog_.entry)
+Emulator::Emulator(const Program &prog_)
+    : prog(prog_), mem(prog_.dataInit), curPc(prog_.entry)
 {
-    mem.load(prog.dataInit);
 }
 
 StepResult

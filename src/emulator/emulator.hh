@@ -12,6 +12,7 @@
 #include <array>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "emulator/arch_source.hh"
 #include "program/program.hh"
@@ -19,30 +20,56 @@
 namespace tproc
 {
 
-/** Sparse word-addressed data memory. Unwritten words read as zero. */
+/**
+ * Word-addressed data memory; unwritten words read as zero.
+ *
+ * Built from a program's sorted data image in one pass over the image.
+ * When the image's address span is at most windowSlack times its word
+ * count, the span becomes one dense window (zero-filled, then the
+ * image scattered in), so a read or write inside it is an index.
+ * Words outside the window live in an overflow hash map, as does the
+ * whole image when it is too sparse for a window: an image {0, 2^40}
+ * never allocates its span.
+ */
 class SparseMemory
 {
   public:
+    /** A window may span at most this many words per image word. */
+    static constexpr size_t windowSlack = 4;
+
+    SparseMemory() = default;
+    explicit SparseMemory(const DataImage &image);
+
     int64_t
     read(Addr addr) const
     {
-        auto it = words.find(addr);
-        return it == words.end() ? 0 : it->second;
+        const Addr off = addr - windowBase;
+        if (off < window.size())
+            return window[off];
+        auto it = overflow.find(addr);
+        return it == overflow.end() ? 0 : it->second;
     }
-
-    void write(Addr addr, int64_t value) { words[addr] = value; }
 
     void
-    load(const std::unordered_map<Addr, int64_t> &image)
+    write(Addr addr, int64_t value)
     {
-        for (const auto &[a, v] : image)
-            words[a] = v;
+        const Addr off = addr - windowBase;
+        if (off < window.size())
+            window[off] = value;
+        else
+            overflow[addr] = value;
     }
 
-    size_t footprint() const { return words.size(); }
+    /** Words of storage held: the window span plus overflow words. */
+    size_t footprint() const { return window.size() + overflow.size(); }
+
+    /** Words the dense window spans (0: no window). */
+    size_t windowWords() const { return window.size(); }
 
   private:
-    std::unordered_map<Addr, int64_t> words;
+    Addr windowBase = 0;
+    std::vector<int64_t> window;
+    std::unordered_map<Addr, int64_t> overflow;
 };
 
 /** Pure ALU evaluation shared between the emulator and the timing

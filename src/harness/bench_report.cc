@@ -28,6 +28,7 @@ struct Timed
 {
     ProcessorStats stats;
     SchedWork sched;
+    SetupWork setup;
     double wall = 0.0;
     bool stable = true;
 
@@ -46,6 +47,14 @@ sameWork(const SchedWork &a, const SchedWork &b)
         a.consumerVisits == b.consumerVisits;
 }
 
+bool
+sameWork(const SetupWork &a, const SetupWork &b)
+{
+    return a.windowWords == b.windowWords &&
+        a.overflowWords == b.overflowWords &&
+        a.tableEntries == b.tableEntries;
+}
+
 Timed
 bestOf(const SweepPoint &p, int reps)
 {
@@ -61,11 +70,13 @@ bestOf(const SweepPoint &p, int reps)
         if (rep == 0) {
             t.stats = r.stats;
             t.sched = r.sched;
+            t.setup = r.setup;
             t.wall = r.wallSeconds;
             t.series = std::move(r.series);
             ref = std::move(d);
         } else {
-            if (d != ref || !sameWork(r.sched, t.sched))
+            if (d != ref || !sameWork(r.sched, t.sched) ||
+                !sameWork(r.setup, t.setup))
                 t.stable = false;
             t.wall = std::min(t.wall, r.wallSeconds);
         }
@@ -134,6 +145,18 @@ schedJson(const SchedWork &sw)
           num(static_cast<double>(sw.completionVisits)));
     o.set("consumer_visits", num(static_cast<double>(sw.consumerVisits)));
     o.set("probes_per_issue", num(sw.probesPerIssue()));
+    return o;
+}
+
+/** The construction work counters of one run; like sched, gated
+ *  exactly. */
+JsonValue
+setupJson(const SetupWork &sw)
+{
+    JsonValue o = JsonValue::makeObject();
+    o.set("window_words", num(static_cast<double>(sw.windowWords)));
+    o.set("overflow_words", num(static_cast<double>(sw.overflowWords)));
+    o.set("table_entries", num(static_cast<double>(sw.tableEntries)));
     return o;
 }
 
@@ -358,6 +381,7 @@ runBenchReport(const BenchReportOptions &opts, std::ostream *progress,
                                         static_cast<double>(s.cycles)
                                   : 0.0));
         w.set("sched", schedJson(live[i].sched));
+        w.set("setup", setupJson(live[i].setup));
         w.set("wall_seconds", num(live[i].wall));
         w.set("cycles_per_sec",
               num(rate(static_cast<double>(s.cycles), live[i].wall)));

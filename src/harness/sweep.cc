@@ -405,6 +405,7 @@ SweepEngine::runPoint(const SweepPoint &p)
                                 &run_metrics);
         }
         r.sched = run_metrics.sched;
+        r.setup = run_metrics.setup;
         r.series = std::move(run_metrics.series);
         r.ok = true;
     } catch (const std::exception &e) {

@@ -113,9 +113,10 @@ struct SweepResult
      */
     IntervalSeries series;
 
-    /** Scheduler work counters of the run; in-memory transport only,
-     *  like series (never serialized). */
+    /** Scheduler and construction work counters of the run; in-memory
+     *  transport only, like series (never serialized). */
     SchedWork sched;
+    SetupWork setup;
 };
 
 /** Flatten every ProcessorStats counter into the mergeable dict. */

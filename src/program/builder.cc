@@ -1,5 +1,7 @@
 #include "program/builder.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace tproc
@@ -258,7 +260,7 @@ ProgramBuilder::ret(ArchReg rs1)
 void
 ProgramBuilder::data(Addr addr, int64_t value)
 {
-    prog.dataInit[addr] = value;
+    prog.dataInit.emplace_back(addr, value);
 }
 
 Program
@@ -273,6 +275,22 @@ ProgramBuilder::finish()
         prog.code[f.pc].imm =
             static_cast<int64_t>(labelAddrs[f.labelId]);
     }
+
+    // Sort the image by address and keep the last write to each one.
+    // Kernels allocate data ascending, so the sort is usually skipped.
+    DataImage &image = prog.dataInit;
+    auto byAddr = [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    };
+    if (!std::is_sorted(image.begin(), image.end(), byAddr))
+        std::stable_sort(image.begin(), image.end(), byAddr);
+    size_t kept = 0;
+    for (size_t i = 0; i < image.size(); ++i) {
+        if (i + 1 < image.size() && image[i + 1].first == image[i].first)
+            continue;
+        image[kept++] = image[i];
+    }
+    image.resize(kept);
     return std::move(prog);
 }
 

@@ -82,11 +82,13 @@ class ProgramBuilder
     void ret(ArchReg rs1 = regRa);
     /// @}
 
-    /** Initialize a data memory word. */
+    /** Initialize a data memory word; the last write to an address
+     *  wins. */
     void data(Addr addr, int64_t value);
 
-    /** Resolve all fixups and return the finished program. The builder
-     *  must not be reused afterwards. */
+    /** Resolve all fixups, sort the data image by address, and return
+     *  the finished program. The builder must not be reused
+     *  afterwards. */
     Program finish();
 
   private:

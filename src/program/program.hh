@@ -7,13 +7,16 @@
 #define TPROC_PROGRAM_PROGRAM_HH
 
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isa/instruction.hh"
 
 namespace tproc
 {
+
+/** A data memory image: (word address, value), sorted by address. */
+using DataImage = std::vector<std::pair<Addr, int64_t>>;
 
 /**
  * An executable tproc program. Instruction space is word addressed by
@@ -25,8 +28,11 @@ class Program
   public:
     std::string name;
     std::vector<Instruction> code;
-    /** Initial data memory contents (word address -> value). */
-    std::unordered_map<Addr, int64_t> dataInit;
+    /** Initial data memory contents: (word address, value) pairs in
+     *  strictly increasing address order, one per address (the builder
+     *  and the trace decoders establish this; SparseMemory relies on
+     *  it). */
+    DataImage dataInit;
     /** Entry point (instruction index). */
     Addr entry = 0;
 

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -35,6 +36,11 @@ using RenameMap = std::array<PhysReg, numArchRegs>;
  * touch only the valid flags and ready cycles, so those live in their
  * own dense arrays (a 64K-entry AoS layout drags the 8-byte values and
  * allocator state through the cache on every readiness probe).
+ *
+ * The arrays are left uninitialised: alloc() initialises a register
+ * when it hands it out. Freed registers go on a recycle stack; alloc()
+ * reuses them LIFO first, then hands out fresh ones in ascending order
+ * from a high-water mark, so construction is O(1) in the capacity.
  */
 class PhysRegFile
 {
@@ -70,8 +76,11 @@ class PhysRegFile
     void clearWriteSig() { writtenSig = 0; }
     /// @}
 
-    size_t freeCount() const { return freeList.size(); }
-    size_t capacity() const { return values.size(); }
+    size_t freeCount() const { return recycled.size() + (cap - highWater); }
+    size_t capacity() const { return cap; }
+
+    /** Table entries the constructor initialised (the zero register). */
+    size_t setupEntries() const { return 1; }
 
     /** Reset map: every architectural register reads as zero. */
     static RenameMap
@@ -85,11 +94,13 @@ class PhysRegFile
     static constexpr PhysReg zeroReg = 0;
 
   private:
-    std::vector<int64_t> values;
-    std::vector<Cycle> readyAts;
-    std::vector<uint8_t> valids;
-    std::vector<uint8_t> inUses;
-    std::vector<PhysReg> freeList;
+    size_t cap;
+    size_t highWater = 1;               //!< registers ever handed out
+    std::unique_ptr<int64_t[]> values;
+    std::unique_ptr<Cycle[]> readyAts;
+    std::unique_ptr<uint8_t[]> valids;
+    std::unique_ptr<uint8_t[]> inUses;
+    std::vector<PhysReg> recycled;      //!< freed registers, LIFO
     uint64_t writtenSig = 0;   //!< see writeSig()
 };
 

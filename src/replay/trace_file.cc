@@ -81,13 +81,10 @@ encodeProgram(const Program &prog)
         p.push_back(static_cast<char>(inst.rs2));
         putSvarint(p, inst.imm);
     }
-    // The data image is an unordered_map; serialize sorted by address
-    // so identical programs produce identical bytes.
-    std::vector<std::pair<Addr, int64_t>> init(prog.dataInit.begin(),
-                                               prog.dataInit.end());
-    std::sort(init.begin(), init.end());
-    putVarint(p, init.size());
-    for (const auto &[addr, value] : init) {
+    // The data image is already sorted by address, so identical
+    // programs produce identical bytes.
+    putVarint(p, prog.dataInit.size());
+    for (const auto &[addr, value] : prog.dataInit) {
         putVarint(p, addr);
         putSvarint(p, value);
     }
@@ -116,13 +113,10 @@ encodeProgramV2(const Program &prog)
     putVarint(p, imms.size());
     p += imms;
 
-    std::vector<std::pair<Addr, int64_t>> init(prog.dataInit.begin(),
-                                               prog.dataInit.end());
-    std::sort(init.begin(), init.end());
-    putVarint(p, init.size());
+    putVarint(p, prog.dataInit.size());
     std::string addrs, values;
     Addr prev = 0;
-    for (const auto &[addr, value] : init) {
+    for (const auto &[addr, value] : prog.dataInit) {
         putVarint(addrs, addr - prev);
         prev = addr;
         putSvarint(values, value);
@@ -438,7 +432,9 @@ TraceReader::decodeProgram(ByteCursor c)
     prog.dataInit.reserve(static_cast<size_t>(data_count));
     for (uint64_t i = 0; i < data_count; ++i) {
         const Addr addr = static_cast<Addr>(c.varint());
-        prog.dataInit[addr] = c.svarint();
+        if (i > 0 && addr <= prog.dataInit.back().first)
+            throw TraceError("PROG data addresses not strictly increasing");
+        prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!c.atEnd())
         throw TraceError("trailing bytes in PROG chunk");
@@ -495,8 +491,13 @@ TraceReader::decodeProgramV2(ByteCursor c)
         std::min<uint64_t>(data_count, maxUpfrontReserve)));
     Addr addr = 0;
     for (uint64_t i = 0; i < data_count; ++i) {
-        addr += static_cast<Addr>(ac.varint());
-        prog.dataInit[addr] = c.svarint();
+        const Addr next = addr + static_cast<Addr>(ac.varint());
+        // Only the first delta may be zero (address 0); a later zero
+        // is a duplicate and a wrapped sum a descending address.
+        if (i > 0 && next <= addr)
+            throw TraceError("PROG data addresses not strictly increasing");
+        addr = next;
+        prog.dataInit.emplace_back(addr, c.svarint());
     }
     if (!ac.atEnd())
         throw TraceError("trailing bytes in PROG address stream");

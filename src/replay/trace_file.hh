@@ -24,6 +24,11 @@
  * the final path or one that fails verification — never a silently
  * short replay.
  *
+ * Both versions store the data image in strictly increasing address
+ * order (Program::dataInit's invariant); decoders reject a duplicate or
+ * descending address (in v2, a zero delta after the first entry or a
+ * wrapped sum) as a TraceError.
+ *
  * Step record := u8 flags, svarint(pc - prevPc),
  *                [svarint(nextPc - pc) unless sequential],
  *                [svarint destValue if hasDest],

@@ -47,6 +47,9 @@ class TraceCache
 
     size_t numSets() const { return sets; }
 
+    /** Table entries the constructor initialised. */
+    size_t setupEntries() const { return array.size(); }
+
   private:
     struct Way
     {

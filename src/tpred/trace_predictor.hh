@@ -14,12 +14,14 @@
 #ifndef TPROC_TPRED_TRACE_PREDICTOR_HH
 #define TPROC_TPRED_TRACE_PREDICTOR_HH
 
-#include <cstddef>
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
-#include "common/sat_counter.hh"
 #include "trace/trace.hh"
 
 namespace tproc
@@ -61,6 +63,14 @@ class PathHistory
     std::array<uint64_t, depth> h{};
 };
 
+/**
+ * The hybrid predictor. Table entries are left uninitialised: each table
+ * keeps a valid bitmap of at most blockBits bits (1 KB), one bit per
+ * block of entries, and an entry is valid only inside a block whose bit
+ * is set and when its own valid flag is. Training the first entry of a
+ * block invalidates the block's entries and sets its bit, so
+ * construction and reset() touch only the bitmaps.
+ */
 class TracePredictor
 {
   public:
@@ -69,6 +79,9 @@ class TracePredictor
         size_t pathEntries = 1 << 16;
         size_t simpleEntries = 1 << 16;
     };
+
+    /** Valid-bitmap bits per table (1 KB). */
+    static constexpr size_t blockBits = 8 * 1024;
 
     TracePredictor() : TracePredictor(Params()) {}
     explicit TracePredictor(const Params &p);
@@ -82,17 +95,56 @@ class TracePredictor
 
     void reset();
 
+    /** Table entries the constructor initialised (bitmap words). */
+    size_t setupEntries() const
+    {
+        return pathTable.blockValid.size() + simpleTable.blockValid.size();
+    }
+
     uint64_t predictions = 0;
 
   private:
+    /** A predicted TraceId plus a 2-bit hysteresis counter, packed. */
     struct Entry
     {
-        bool valid = false;
-        TraceId pred;
-        SatCounter conf{2, 0};
+        Addr startPc;
+        uint32_t outcomes;
+        uint8_t numBranches;
+        uint8_t valid;
+        uint8_t conf;
+
+        TraceId id() const { return {startPc, outcomes, numBranches}; }
+    };
+    static_assert(sizeof(Entry) <= 16, "predictor entry exceeds 16 bytes");
+    static_assert(std::is_trivially_default_constructible_v<Entry>,
+                  "predictor entries must be left uninitialised");
+
+    class Table
+    {
+      public:
+        explicit Table(size_t n);
+
+        /** The valid entry at index i, or nullptr. */
+        const Entry *find(size_t i) const;
+        /** The entry at index i, its block made valid first. */
+        Entry &touch(size_t i);
+        void clear() { std::fill(blockValid.begin(), blockValid.end(), 0); }
+        size_t size() const { return n; }
+
+        std::vector<uint64_t> blockValid;   //!< one bit per block
+
+      private:
+        bool blockSet(size_t b) const
+        {
+            return (blockValid[b >> 6] >> (b & 63)) & 1;
+        }
+
+        size_t n;
+        unsigned blockShift;    //!< log2(entries per block)
+        std::unique_ptr<Entry[]> entries;
     };
 
-    void trainEntry(Entry &e, const TraceId &actual);
+    static void trainEntry(Entry &e, const TraceId &actual);
 
     size_t pathIndex(const PathHistory &h) const
     {
@@ -104,8 +156,8 @@ class TracePredictor
             (simpleTable.size() - 1);
     }
 
-    std::vector<Entry> pathTable;
-    std::vector<Entry> simpleTable;
+    Table pathTable;
+    Table simpleTable;
 };
 
 } // namespace tproc

@@ -55,6 +55,9 @@ class Bit
 
     void reset();
 
+    /** Table entries the constructor initialised. */
+    size_t setupEntries() const { return array.size(); }
+
     uint64_t lookups = 0;
     uint64_t misses = 0;
     uint64_t scanInsts = 0;     //!< total FGCI scan work

@@ -84,9 +84,21 @@ TEST(BenchReport, SchemaFieldsPresent)
         EXPECT_GE(sched.at("operand_probes").asNumber(),
                   sched.at("issued_slots").asNumber());
         EXPECT_GT(sched.at("issued_slots").asNumber(), 0.0);
+
+        // So are the construction work counters.
+        const JsonValue &setup = w.at("setup");
+        for (const char *key :
+             {"window_words", "overflow_words", "table_entries"}) {
+            EXPECT_TRUE(setup.find(key)) << "missing setup key: " << key;
+        }
+        EXPECT_GT(setup.at("window_words").asNumber() +
+                      setup.at("overflow_words").asNumber(),
+                  0.0);
+        EXPECT_GT(setup.at("table_entries").asNumber(), 0.0);
     }
     JsonValue view = harness::benchNonTimingView(r);
     EXPECT_TRUE(view.at("workloads").asArray()[0].find("sched"));
+    EXPECT_TRUE(view.at("workloads").asArray()[0].find("setup"));
     EXPECT_EQ(r.at("summary").at("total_cycles").asNumber(), cycle_sum);
 
     const JsonValue &identity = r.at("identity");

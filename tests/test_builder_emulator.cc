@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "common/logging.hh"
+#include "common/random.hh"
 #include "emulator/emulator.hh"
 #include "program/builder.hh"
 #include "program/cfg.hh"
@@ -58,6 +62,136 @@ TEST(Emulator, DataInitLoaded)
     Emulator e(p);
     e.run(10);
     EXPECT_EQ(e.readReg(3), 77);
+}
+
+TEST(Builder, RepeatedDataAddressKeepsLastValue)
+{
+    ProgramBuilder b("t");
+    b.data(10, 1);
+    b.data(5, 2);
+    b.data(10, 3);
+    b.data(7, 4);
+    b.data(5, 5);
+    b.ld(3, 0, 10);
+    b.ld(4, 0, 5);
+    b.halt();
+    Program p = b.finish();
+    const DataImage want = {{5, 5}, {7, 4}, {10, 3}};
+    EXPECT_EQ(p.dataInit, want);
+
+    Emulator e(p);
+    e.run(10);
+    EXPECT_EQ(e.readReg(3), 3);
+    EXPECT_EQ(e.readReg(4), 5);
+}
+
+namespace
+{
+
+/**
+ * Run seeded random reads and writes against mem and a plain hash-map
+ * reference loaded with the same image. Addresses land inside the
+ * image's span, just outside both of its ends, far below and above it,
+ * and at arbitrary 64-bit words, so writes reach words absent from the
+ * image as well as present ones.
+ */
+void
+checkAgainstReference(SparseMemory &mem, const DataImage &image,
+                      uint64_t seed)
+{
+    std::unordered_map<Addr, int64_t> ref(image.begin(), image.end());
+    const Addr lo = image.front().first;
+    const Addr hi = image.back().first;
+    Rng rng(seed);
+    auto pick = [&]() -> Addr {
+        switch (rng.below(6)) {
+          case 0: return lo + rng.below(hi - lo + 1);
+          case 1: return image[rng.below(image.size())].first;
+          case 2: return lo - 1 - rng.below(std::min<Addr>(lo, 64));
+          case 3: return hi + 1 + rng.below(64);
+          case 4: return rng.below(2) ? lo - 1 : hi + 1;
+          default: return rng.next();
+        }
+    };
+    for (int op = 0; op < 20000; ++op) {
+        const Addr a = pick();
+        if (rng.below(2)) {
+            const auto v = static_cast<int64_t>(rng.next());
+            mem.write(a, v);
+            ref[a] = v;
+        } else {
+            const auto it = ref.find(a);
+            ASSERT_EQ(mem.read(a), it == ref.end() ? 0 : it->second)
+                << "op " << op << " addr " << a;
+        }
+    }
+    for (const auto &[a, v] : ref)
+        ASSERT_EQ(mem.read(a), v) << "addr " << a;
+}
+
+} // anonymous namespace
+
+TEST(SparseMemory, MatchesHashMapReferenceWithWindow)
+{
+    // 300 words over a 600-word span starting at 1000: a dense window.
+    DataImage image;
+    Rng gen(7);
+    for (Addr a = 1000; a < 1600; a += 1 + gen.below(3))
+        image.emplace_back(a, static_cast<int64_t>(gen.next()));
+    for (uint64_t seed : {1, 2, 3}) {
+        SparseMemory mem(image);
+        ASSERT_EQ(mem.windowWords(), image.back().first - 1000 + 1);
+        checkAgainstReference(mem, image, seed);
+    }
+}
+
+TEST(SparseMemory, MatchesHashMapReferenceWithoutWindow)
+{
+    // Too sparse for a window: every word is in the overflow map.
+    DataImage image;
+    for (Addr a = 100; a < 100 + 64 * 1000; a += 1000)
+        image.emplace_back(a, static_cast<int64_t>(a) * 3);
+    SparseMemory mem(image);
+    ASSERT_EQ(mem.windowWords(), 0u);
+    EXPECT_EQ(mem.footprint(), image.size());
+    checkAgainstReference(mem, image, 11);
+}
+
+TEST(SparseMemory, HugeSpanImageStaysSmall)
+{
+    const DataImage image = {{0, 1}, {Addr{1} << 40, 2}};
+    SparseMemory mem(image);
+    EXPECT_EQ(mem.windowWords(), 0u);
+    EXPECT_EQ(mem.footprint(), 2u);
+    EXPECT_EQ(mem.read(0), 1);
+    EXPECT_EQ(mem.read(Addr{1} << 40), 2);
+    EXPECT_EQ(mem.read(12345), 0);
+    mem.write(12345, 6);
+    EXPECT_EQ(mem.read(12345), 6);
+    EXPECT_EQ(mem.footprint(), 3u);
+}
+
+TEST(SparseMemory, UnorderedImagePanics)
+{
+    // {1, 100, 50} would index past a window sized from the last
+    // address; the order check stops it first.
+    ScopedErrorCapture capture;
+    for (const DataImage &image :
+         {DataImage{{5, 1}, {5, 2}}, DataImage{{5, 1}, {3, 2}},
+          DataImage{{1, 1}, {100, 2}, {50, 3}},
+          DataImage{{0, 1}, {Addr{1} << 40, 2}, {7, 3}}}) {
+        EXPECT_THROW(SparseMemory mem(image), SimError);
+    }
+}
+
+TEST(SparseMemory, EmptyImageReadsZero)
+{
+    SparseMemory mem(DataImage{});
+    EXPECT_EQ(mem.footprint(), 0u);
+    EXPECT_EQ(mem.read(0), 0);
+    EXPECT_EQ(mem.read(~Addr{0}), 0);
+    mem.write(~Addr{0}, -1);
+    EXPECT_EQ(mem.read(~Addr{0}), -1);
 }
 
 TEST(Emulator, LoopAndBranches)

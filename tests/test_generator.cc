@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,9 +77,7 @@ programDigest(const Program &prog)
         mix(&in.rs2, sizeof(in.rs2));
         mix(&in.imm, sizeof(in.imm));
     }
-    const std::map<Addr, int64_t> sorted(prog.dataInit.begin(),
-                                         prog.dataInit.end());
-    for (const auto &kv : sorted) {
+    for (const auto &kv : prog.dataInit) {
         mix(&kv.first, sizeof(kv.first));
         mix(&kv.second, sizeof(kv.second));
     }

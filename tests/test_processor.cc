@@ -193,4 +193,20 @@ TEST(Processor, IssueProbesOnlyLocallyReadySlots)
     EXPECT_GE(sw.completionVisits, p.statsSoFar().retiredInsts);
 }
 
+TEST(Processor, SetupWorkGrowsWithTouchedStateNotCapacity)
+{
+    // The Table 1 machine: the trace predictor initialises only its two
+    // 128-word valid bitmaps and the register file only its zero
+    // register, so the BTB (16K), BIT (8K) and the three 1K-line caches
+    // dominate. Initialising every predictor entry and pre-filling the
+    // free stack made this 289,791.
+    Workload w = makeWorkload("jpeg", 1);
+    Processor p(w.program, ProcessorConfig::forModel("base"));
+    const SetupWork &sw = p.setupWork();
+    EXPECT_EQ(sw.windowWords, w.program.dataInit.size());
+    EXPECT_EQ(sw.overflowWords, 0u);
+    EXPECT_EQ(sw.tableEntries,
+              2 * 128 + 1 + 16 * 1024 + 3 * 1024 + 8 * 1024);
+}
+
 } // namespace tproc

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "pe/processing_element.hh"
 #include "program/builder.hh"
 #include "trace/selection.hh"
@@ -51,6 +52,52 @@ TEST(PhysRegFile, AllocFreeWrite)
     EXPECT_EQ(prf.value(PhysRegFile::zeroReg), 0);
     prf.free(PhysRegFile::zeroReg);     // no-op
     EXPECT_TRUE(prf.ready(PhysRegFile::zeroReg, 0));
+}
+
+TEST(PhysRegFile, FreshRegistersAscendThenFreedOnesReuseLifoFirst)
+{
+    const size_t n = numArchRegs + 6;
+    PhysRegFile prf(n);
+    EXPECT_EQ(prf.capacity(), n);
+    EXPECT_EQ(prf.freeCount(), n - 1);      // register 0 is reserved
+    for (PhysReg want = 1; want <= 4; ++want)
+        EXPECT_EQ(prf.alloc(), want);
+    EXPECT_EQ(prf.freeCount(), n - 5);
+
+    prf.write(4, 9, 3);
+    prf.free(2);
+    prf.free(4);
+    prf.free(1);
+    EXPECT_EQ(prf.freeCount(), n - 2);
+    EXPECT_EQ(prf.alloc(), 1u);             // last freed, first reused
+    EXPECT_EQ(prf.alloc(), 4u);
+    EXPECT_FALSE(prf.hasValue(4));          // reuse clears the old value
+    EXPECT_EQ(prf.alloc(), 2u);
+    EXPECT_EQ(prf.freeCount(), n - 5);
+    for (PhysReg want = 5; want < n; ++want) {
+        EXPECT_EQ(prf.alloc(), want);       // then fresh, ascending
+        EXPECT_EQ(prf.freeCount(), n - 1 - want);
+    }
+    EXPECT_EQ(prf.freeCount(), 0u);
+
+    ScopedErrorCapture capture;
+    EXPECT_THROW(prf.alloc(), SimError);    // exactly at capacity
+    prf.free(7);
+    EXPECT_EQ(prf.freeCount(), 1u);
+    EXPECT_EQ(prf.alloc(), 7u);
+    EXPECT_THROW(prf.alloc(), SimError);
+}
+
+TEST(PhysRegFile, FreeOfARegisterNotInUsePanics)
+{
+    PhysRegFile prf(numArchRegs + 6);
+    const PhysReg r = prf.alloc();
+    ScopedErrorCapture capture;
+    EXPECT_THROW(prf.free(r + 1), SimError);    // never handed out
+    EXPECT_THROW(prf.write(r + 1, 1, 0), SimError);
+    prf.free(r);
+    EXPECT_THROW(prf.free(r), SimError);        // double free
+    EXPECT_EQ(prf.setupEntries(), 1u);
 }
 
 TEST(Rename, IntraTraceDepsAndLiveInOut)

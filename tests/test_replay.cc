@@ -605,6 +605,94 @@ TEST(ReplayNegative, CompressedChunkCorruptionsRejectedByName)
     }
 }
 
+namespace
+{
+
+/** A one-step (HALT) container for tinyProgram() carrying image as its
+ *  data image. The writer stores the image as given, so a malformed
+ *  image yields a container whose chunks and digests are all valid. */
+std::string
+writeImageTrace(const TempDir &dir, const std::string &name,
+                const DataImage &image, bool compress)
+{
+    Program prog = tinyProgram();
+    prog.dataInit = image;
+    replay::TraceMeta meta;
+    meta.workload = "tiny";
+    meta.programName = prog.name;
+    const std::string path = dir.file(name);
+    replay::TraceWriter writer(path, meta, prog, compress);
+    StepResult halt;
+    halt.inst = {Opcode::HALT, 0, 0, 0, 0};
+    halt.halted = true;
+    writer.append(halt);
+    writer.finalize();
+    return path;
+}
+
+} // anonymous namespace
+
+TEST(ReplayNegative, UnorderedDataImageRejected)
+{
+    // v1 stores addresses verbatim; v2 stores deltas, so a duplicate is
+    // a zero delta after the first entry and a descending address is a
+    // delta whose sum wraps.
+    TempDir dir("replay_image");
+    const std::vector<std::pair<std::string, DataImage>> cases = {
+        {"duplicate", {{5, 1}, {5, 2}}},
+        {"duplicate-at-zero", {{0, 1}, {0, 2}}},
+        {"descending", {{9, 1}, {5, 2}}},
+        {"descending-late", {{1, 1}, {2, 2}, {1ull << 40, 3}, {7, 4}}},
+    };
+    for (bool compress : {false, true}) {
+        for (const auto &[label, image] : cases) {
+            const std::string path =
+                writeImageTrace(dir, label + ".tpt", image, compress);
+            try {
+                replay::TraceReader reader(path);
+                ADD_FAILURE() << label << " (compress=" << compress
+                              << "): reader accepted the image";
+            } catch (const replay::TraceError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "not strictly increasing"),
+                          std::string::npos)
+                    << label << ": got '" << e.what() << "'";
+            }
+        }
+    }
+}
+
+TEST(TraceRoundTrip, SparseImageFromAddressZeroSurvives)
+{
+    // A first v2 delta of zero is address 0, not a duplicate.
+    TempDir dir("replay_image_ok");
+    const DataImage image = {{0, 7}, {1, -8}, {1ull << 40, 9}};
+    for (bool compress : {false, true}) {
+        replay::TraceReader reader(
+            writeImageTrace(dir, "ok.tpt", image, compress));
+        EXPECT_EQ(reader.program().dataInit, image)
+            << "compress=" << compress;
+        EXPECT_EQ(reader.info().dataInitSize, image.size());
+    }
+}
+
+TEST(TraceRoundTrip, CheckedInGoldenTracesStillLoad)
+{
+    size_t loaded = 0;
+    for (const auto &entry : fs::directory_iterator(
+             TPROC_SOURCE_DIR "/tests/golden/traces")) {
+        if (entry.path().extension() != ".tpt")
+            continue;
+        replay::TraceReader reader(entry.path().string());
+        const DataImage &image = reader.program().dataInit;
+        EXPECT_FALSE(image.empty()) << entry.path();
+        for (size_t i = 1; i < image.size(); ++i)
+            ASSERT_LT(image[i - 1].first, image[i].first) << entry.path();
+        ++loaded;
+    }
+    EXPECT_EQ(loaded, workloadNames().size());
+}
+
 TEST(ReplayNegative, NonTraceFileRejected)
 {
     TempDir dir("replay_notrace");

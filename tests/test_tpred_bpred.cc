@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "bpred/branch_predictor.hh"
 #include "common/random.hh"
 #include "tpred/trace_predictor.hh"
@@ -93,6 +97,87 @@ TEST(TracePredictor, NoPredictionWhenCold)
     PathHistory h;
     h.push(id(12345));
     EXPECT_FALSE(tp.predict(h).has_value());
+}
+
+namespace
+{
+
+/**
+ * Predict-then-train over a seeded stream of 24 trace ids whose
+ * successor is one of three candidates, so entries are confirmed,
+ * lose confidence and get replaced. Returns the predicted start pcs
+ * (0 for no prediction) of the first `listed` steps and a fold of every
+ * full prediction.
+ */
+std::pair<std::vector<Addr>, uint64_t>
+predictionRun(TracePredictor &tp, int steps, int listed)
+{
+    Rng rng(42);
+    std::vector<Addr> firsts;
+    uint64_t fold = 0xcbf29ce484222325ull;
+    PathHistory hist;
+    uint64_t prev = 0;
+    for (int i = 0; i < steps; ++i) {
+        prev = (prev * 3 + rng.below(3)) % 24;
+        const TraceId actual = id(100 * (prev + 1),
+                                  static_cast<uint32_t>(prev % 7));
+        const std::optional<TraceId> p = tp.predict(hist);
+        const uint64_t v = p ? p->startPc ^ (uint64_t(p->outcomes) << 20) ^
+                uint64_t(p->numBranches) << 40
+                             : 0xdeadull;
+        fold = (fold ^ v) * 0x100000001b3ull;
+        if (i < listed)
+            firsts.push_back(p ? p->startPc : 0);
+        tp.update(hist, actual);
+        hist.push(actual);
+    }
+    return {firsts, fold};
+}
+
+} // namespace
+
+TEST(TracePredictor, FreshAndResetPredictorsPredictNothing)
+{
+    TracePredictor fresh;
+    TracePredictor used;
+    predictionRun(used, 20000, 0);
+    used.reset();
+    EXPECT_EQ(used.predictions, 0u);
+    Rng rng(3);
+    PathHistory h;
+    for (int i = 0; i < 20000; ++i) {
+        h.push(id(rng.next() % 100000, static_cast<uint32_t>(rng.next())));
+        ASSERT_FALSE(fresh.predict(h).has_value()) << i;
+        ASSERT_FALSE(used.predict(h).has_value()) << i;
+    }
+    // Retraining after reset behaves exactly like a fresh predictor.
+    TracePredictor again;
+    EXPECT_EQ(predictionRun(used, 5000, 64), predictionRun(again, 5000, 64));
+}
+
+TEST(TracePredictor, PinnedPredictionsMatchTheEagerTables)
+{
+    // Literals recorded from the predictor whose tables were fully
+    // initialised at construction; the lazily valid tables must
+    // reproduce them. Small tables alias heavily (replacement paths).
+    TracePredictor::Params small;
+    small.pathEntries = 64;
+    small.simpleEntries = 16;
+    TracePredictor tiny(small);
+    const auto [tinyFirsts, tinyFold] = predictionRun(tiny, 20000, 24);
+    const std::vector<Addr> wantTiny = {
+        0, 0, 0, 0, 0, 0, 1800, 0, 1200, 300, 1800, 300,
+        900, 0, 1800, 600, 100, 600, 200, 1800, 500, 500, 1200, 1200};
+    EXPECT_EQ(tinyFirsts, wantTiny);
+    EXPECT_EQ(tinyFold, 6406718299602047362ull);
+
+    TracePredictor full;
+    const auto [fullFirsts, fullFold] = predictionRun(full, 20000, 24);
+    const std::vector<Addr> wantFull = {
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 400, 1800, 0, 600, 0, 1800, 200, 600, 1200, 700};
+    EXPECT_EQ(fullFirsts, wantFull);
+    EXPECT_EQ(fullFold, 5901391820346235124ull);
 }
 
 TEST(BranchPredictor, TwoBitHysteresis)
