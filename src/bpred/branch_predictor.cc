@@ -5,9 +5,16 @@
 namespace tproc
 {
 
+namespace
+{
+
+/** The 2-bit counter's ceiling; it predicts taken above half. */
+constexpr uint8_t counterMax = 3;
+
+} // anonymous namespace
+
 BranchPredictor::BranchPredictor(size_t entries)
-    : mask(entries - 1), table(entries, SatCounter(2, 1)),
-      targets(entries, invalidAddr)
+    : table(entries, Entry{1, invalidAddr})
 {
     panic_if(entries == 0 || (entries & (entries - 1)) != 0,
              "BranchPredictor: entries must be a power of two");
@@ -16,28 +23,29 @@ BranchPredictor::BranchPredictor(size_t entries)
 bool
 BranchPredictor::predict(Addr pc) const
 {
-    return table[index(pc)].isSet();
+    return table[index(pc)].counter > counterMax / 2;
 }
 
 void
 BranchPredictor::update(Addr pc, bool taken)
 {
-    if (taken)
-        table[index(pc)].increment();
-    else
-        table[index(pc)].decrement();
+    uint8_t &c = table.touch(index(pc)).counter;
+    if (taken && c < counterMax)
+        ++c;
+    else if (!taken && c > 0)
+        --c;
 }
 
 Addr
 BranchPredictor::predictTarget(Addr pc) const
 {
-    return targets[index(pc)];
+    return table[index(pc)].target;
 }
 
 void
 BranchPredictor::updateTarget(Addr pc, Addr target)
 {
-    targets[index(pc)] = target;
+    table.touch(index(pc)).target = target;
 }
 
 } // namespace tproc

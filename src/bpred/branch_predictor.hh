@@ -4,16 +4,19 @@
  * 2-bit counters, indexed by branch pc. Used during trace construction
  * and trace repair (the next-trace predictor handles trace-level
  * sequencing; this simple predictor supplies per-branch outcomes when a
- * trace must be built or repaired instruction by instruction).
+ * trace must be built or repaired instruction by instruction). Each
+ * entry also holds the last target of an indirect branch at its pc.
+ * The table is a LazyTable, so an entry never trained reads weakly
+ * not-taken with no target.
  */
 
 #ifndef TPROC_BPRED_BRANCH_PREDICTOR_HH
 #define TPROC_BPRED_BRANCH_PREDICTOR_HH
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
-#include "common/sat_counter.hh"
+#include "common/lazy_table.hh"
 #include "common/types.hh"
 
 namespace tproc
@@ -53,15 +56,20 @@ class BranchPredictor
     /** Record the resolved target of an indirect branch. */
     void updateTarget(Addr pc, Addr target);
 
-    /** Table entries the constructor initialised. */
-    size_t setupEntries() const { return table.size(); }
+    /** Table entries the constructor initialised (bitmap words). */
+    size_t setupEntries() const { return table.setupEntries(); }
 
   private:
-    size_t index(Addr pc) const { return pc & mask; }
+    /** A 2-bit saturating direction counter and a last target. */
+    struct Entry
+    {
+        uint8_t counter;
+        Addr target;
+    };
 
-    size_t mask;
-    std::vector<SatCounter> table;
-    std::vector<Addr> targets;
+    size_t index(Addr pc) const { return pc & (table.size() - 1); }
+
+    LazyTable<Entry> table;
 };
 
 } // namespace tproc

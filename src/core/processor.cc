@@ -1,6 +1,7 @@
 #include "core/processor.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "common/hires_timer.hh"
@@ -405,14 +406,15 @@ void
 Processor::issueSlot(InFlightTrace &t, int slot)
 {
     DynSlot &d = t.slots[slot];
+    const TraceSlot &s = t.at(slot);
     t.notIssuedMask &= ~slotBit(slot);
     t.inFlightMask |= slotBit(slot);
     ++d.issueCount;
     ++work.issuedSlots;
-    d.srcVal1 = operandValue(t, d.dep1, d.src1);
-    d.srcVal2 = operandValue(t, d.dep2, d.src2);
+    d.srcVal1 = operandValue(t, s.dep1, d.src1);
+    d.srcVal2 = operandValue(t, s.dep2, d.src2);
 
-    const Instruction &inst = t.at(slot).inst;
+    const Instruction &inst = s.inst;
     switch (inst.op) {
       case Opcode::LD:
       case Opcode::ST:
@@ -430,7 +432,7 @@ Processor::issueSlot(InFlightTrace &t, int slot)
         break;
       case Opcode::CALL:
       case Opcode::CALLR:
-        d.value = static_cast<int64_t>(t.at(slot).pc + 1);
+        d.value = static_cast<int64_t>(s.pc + 1);
         d.brTarget = inst.op == Opcode::CALL ?
             static_cast<Addr>(inst.imm) : static_cast<Addr>(d.srcVal1);
         d.execDoneAt = curCycle + 1;
@@ -558,11 +560,10 @@ Processor::completeSlot(InFlightTrace &t, int slot)
     // (Section 2.2.3), over the local consumers in slot order: a
     // consumer whose producers have now all completed becomes locally
     // ready, and one that already issued consumed a stale value.
-    for (uint64_t m = d.consumers; m; m &= m - 1) {
+    for (uint64_t m = s.consumers; m; m &= m - 1) {
         const int i = lowestSlot(m);
-        DynSlot &c = t.slots[i];
         ++work.consumerVisits;
-        if (t.locallyReady(c))
+        if (t.locallyReady(i))
             t.localReadyMask |= slotBit(i);
         if (value_changed && !(t.notIssuedMask & slotBit(i))) {
             ++stats.reissueLocal;
@@ -616,7 +617,7 @@ Processor::reissueSlot(InFlightTrace &t, int slot, Cycle earliest)
     // Back to the not-issued pool. Un-completing a slot also puts its
     // local consumers back to sleep.
     if (t.completed(slot))
-        t.localReadyMask &= ~d.consumers;
+        t.localReadyMask &= ~t.at(slot).consumers;
     t.inFlightMask &= ~slotBit(slot);
     t.completedMask &= ~slotBit(slot);
     t.notIssuedMask |= slotBit(slot);
@@ -1238,7 +1239,7 @@ Processor::verifyRetiredSlot(const InFlightTrace &t, int slot)
                     "  [%2zu] %-28s dep=(%d,%d) src=(%u,%u) dest=%u "
                     "val=%lld addr=%llu ic=%u%s%s\n",
                     i, disassemble(t.at(i).pc, t.at(i).inst).c_str(),
-                    s.dep1, s.dep2, s.src1, s.src2, s.dest,
+                    t.at(i).dep1, t.at(i).dep2, s.src1, s.src2, s.dest,
                     static_cast<long long>(s.value),
                     static_cast<unsigned long long>(s.effAddr),
                     s.issueCount,
@@ -1393,21 +1394,25 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
                      lowSlots(n),
              "status masks do not partition the slots (pos %zu)", pos);
 
+    // Re-derive the trace's pre-renamed dependences from its
+    // instructions: each read operand links to the last earlier writer
+    // of its register, else it is a live-in with a renamed source.
+    std::array<int, numArchRegs> last_writer;
+    last_writer.fill(-1);
     uint64_t ready = 0;
     std::vector<uint64_t> consumers(n, 0);
     for (size_t i = 0; i < n; ++i) {
         const DynSlot &d = t.slots[i];
-        const Instruction &inst = t.at(i).inst;
+        const TraceSlot &s = t.at(i);
         const uint64_t bit = slotBit(static_cast<int>(i));
 
-        // Renamed operands: a source is either an earlier in-trace
-        // producer or a live-in register, exactly when it is read.
         uint64_t producers = 0;
-        auto check_src = [&](bool reads, int dep, PhysReg src) {
-            panic_if(dep >= static_cast<int>(i),
-                     "producer not earlier (pos %zu, slot %zu)", pos, i);
-            panic_if((reads && dep < 0) != (src != invalidPhysReg) ||
-                         (!reads && dep >= 0),
+        auto check_src = [&](bool reads, bool flag, ArchReg r, int dep,
+                             PhysReg src) {
+            panic_if(reads != flag || dep != (reads ? last_writer[r] : -1),
+                     "pre-renamed dependence out of sync (pos %zu, slot "
+                     "%zu)", pos, i);
+            panic_if((reads && dep < 0) != (src != invalidPhysReg),
                      "renamed source out of sync (pos %zu, slot %zu)",
                      pos, i);
             if (dep >= 0) {
@@ -1415,9 +1420,11 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
                 consumers[dep] |= bit;
             }
         };
-        check_src(readsRs1(inst), d.dep1, d.src1);
-        check_src(readsRs2(inst), d.dep2, d.src2);
-        panic_if(d.producers != producers,
+        check_src(readsRs1(s.inst), s.readsRs1, s.inst.rs1, s.dep1, d.src1);
+        check_src(readsRs2(s.inst), s.readsRs2, s.inst.rs2, s.dep2, d.src2);
+        if (writesReg(s.inst))
+            last_writer[s.inst.rd] = static_cast<int>(i);
+        panic_if(s.producers != producers,
                  "producer mask out of sync (pos %zu, slot %zu)", pos, i);
         if ((producers & ~t.completedMask) == 0)
             ready |= bit;
@@ -1435,11 +1442,30 @@ Processor::checkSlotMasks(const InFlightTrace &t, size_t pos) const
         }
     }
     for (size_t i = 0; i < n; ++i) {
-        panic_if(t.slots[i].consumers != consumers[i],
+        panic_if(t.at(i).consumers != consumers[i],
                  "consumer mask out of sync (pos %zu, slot %zu)", pos, i);
     }
     panic_if(ready != t.localReadyMask,
              "local-ready mask out of sync (pos %zu)", pos);
+
+    // Live-outs: the last writer of each register, in register order,
+    // each renamed to the physical register its writer publishes to.
+    const std::vector<TraceLiveOut> &los = t.trace->liveOuts;
+    size_t k = 0;
+    for (int a = 0; a < numArchRegs; ++a) {
+        if (last_writer[a] < 0)
+            continue;
+        panic_if(k >= los.size() || los[k].arch != a ||
+                     los[k].slot != last_writer[a],
+                 "trace live-outs out of sync (pos %zu, r%d)", pos, a);
+        panic_if(k >= t.liveOuts.size() || t.liveOuts[k].arch != a ||
+                     t.liveOuts[k].slot != last_writer[a] ||
+                     t.slots[last_writer[a]].dest != t.liveOuts[k].phys,
+                 "renamed live-outs out of sync (pos %zu, r%d)", pos, a);
+        ++k;
+    }
+    panic_if(k != los.size() || k != t.liveOuts.size(),
+             "live-out count out of sync (pos %zu)", pos);
 }
 
 void

@@ -156,6 +156,10 @@ struct SchedWork
     uint64_t issueCandidates = 0;   //!< slots the issue walk visited
     uint64_t completionVisits = 0;  //!< slots the completion walk visited
     uint64_t consumerVisits = 0;    //!< local consumers a completion woke
+    /** Traces whose intra-trace dependences were derived: selections
+     *  (constructions, repairs) of a trace not already in the trace
+     *  cache. Dispatch derives none. */
+    uint64_t depAnalyses = 0;
 
     double
     probesPerIssue() const
@@ -208,14 +212,22 @@ class Processor
     size_t windowSize() const { return windowPe.size(); }
 
     /** Scheduler work counters so far. */
-    const SchedWork &schedWork() const { return work; }
+    SchedWork
+    schedWork() const
+    {
+        SchedWork w = work;
+        w.depAnalyses = frontend.depAnalyses;
+        return w;
+    }
 
     /** What construction cost, in words and table entries. */
     const SetupWork &setupWork() const { return setup; }
 
     /** Check internal invariants (tests call this liberally): PE
      *  accounting, and each resident trace's slot masks against each
-     *  other, against dep1/dep2, and against the register file. */
+     *  other, its pre-renamed dependences and live-outs against a
+     *  derivation from its instructions, and its renamed sources
+     *  against the register file. */
     void checkInvariants() const;
 
     /** @name Windowed telemetry (cfg.metricsInterval > 0).

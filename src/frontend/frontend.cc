@@ -14,6 +14,18 @@ Frontend::Frontend(const Program &prog_, const ProcessorConfig &cfg_)
 {
 }
 
+std::shared_ptr<const Trace>
+Frontend::keep(Trace &&tr)
+{
+    // Selection is deterministic given the identity, so a cached trace
+    // of the same TraceId is this trace, already pre-renamed.
+    if (auto cached = tcache.probe(tr.id))
+        return cached;
+    predecode(tr);
+    ++depAnalyses;
+    return std::make_shared<const Trace>(std::move(tr));
+}
+
 PendingTrace
 Frontend::construct(Cycle now, Addr start_pc,
                     std::optional<TraceId> predicted)
@@ -38,7 +50,7 @@ Frontend::construct(Cycle now, Addr start_pc,
     SelectionResult sel = selector.select(start_pc, oracle, &icacheModel, 0);
 
     PendingTrace pt;
-    pt.trace = std::make_shared<Trace>(std::move(sel.trace));
+    pt.trace = keep(std::move(sel.trace));
 
     // The single construction port (one datapath to the instruction
     // cache, branch predictor, and BIT) serializes constructions; the
@@ -262,7 +274,7 @@ Frontend::buildRepair(Cycle now, const Trace &orig, int branch_slot,
 
     SelectionResult sel = selector.select(orig.id.startPc, oracle,
                                           &icacheModel, res.prefixLen);
-    res.trace = std::make_shared<Trace>(std::move(sel.trace));
+    res.trace = keep(std::move(sel.trace));
 
     Cycle start = std::max(now, constructBusyUntil);
     res.readyAt = start + 1 + sel.fetchCycles + sel.scanCycles;

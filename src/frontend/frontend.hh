@@ -124,11 +124,17 @@ class Frontend
     /** @name Statistics. */
     /// @{
     uint64_t constructions = 0;
+    /** Selected traces pre-renamed: constructions and repairs whose
+     *  identity the trace cache did not already hold. */
+    uint64_t depAnalyses = 0;
     uint64_t predictions = 0;       //!< traces supplied by the predictor
     uint64_t fallbackFetches = 0;   //!< traces built without a prediction
     /// @}
 
   private:
+    /** The shared, pre-renamed copy of a freshly selected trace: the
+     *  trace cache's when it holds the identity, else tr pre-renamed. */
+    std::shared_ptr<const Trace> keep(Trace &&tr);
     /** Construct a trace from start_pc (trace-cache miss path). */
     PendingTrace construct(Cycle now, Addr start_pc,
                            std::optional<TraceId> predicted);

@@ -44,7 +44,8 @@ sameWork(const SchedWork &a, const SchedWork &b)
         a.issuedSlots == b.issuedSlots &&
         a.issueCandidates == b.issueCandidates &&
         a.completionVisits == b.completionVisits &&
-        a.consumerVisits == b.consumerVisits;
+        a.consumerVisits == b.consumerVisits &&
+        a.depAnalyses == b.depAnalyses;
 }
 
 bool
@@ -144,6 +145,7 @@ schedJson(const SchedWork &sw)
     o.set("completion_visits",
           num(static_cast<double>(sw.completionVisits)));
     o.set("consumer_visits", num(static_cast<double>(sw.consumerVisits)));
+    o.set("dep_analyses", num(static_cast<double>(sw.depAnalyses)));
     o.set("probes_per_issue", num(sw.probesPerIssue()));
     return o;
 }

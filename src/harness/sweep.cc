@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "common/hires_timer.hh"
 #include "common/logging.hh"
@@ -418,6 +420,58 @@ SweepEngine::runPoint(const SweepPoint &p)
     return r;
 }
 
+namespace
+{
+
+/**
+ * The order workers claim points in. Points are grouped by the trace
+ * they replay (workload, seed, scale, instruction limit), and the
+ * groups are taken in blocks of `threads`, each block model by model:
+ * concurrent workers start on distinct traces instead of all waiting
+ * on the first one's parse, and a block's later models find their
+ * trace parsed. Results stay in input order; a serial run claims in
+ * input order.
+ */
+std::vector<size_t>
+claimOrder(const std::vector<SweepPoint> &points, unsigned threads)
+{
+    std::vector<size_t> order;
+    order.reserve(points.size());
+    if (threads <= 1) {
+        for (size_t i = 0; i < points.size(); ++i)
+            order.push_back(i);
+        return order;
+    }
+    using Identity = std::tuple<std::string, uint64_t, double, uint64_t>;
+    std::map<Identity, size_t> group_of;
+    std::vector<std::vector<size_t>> groups;
+    for (size_t i = 0; i < points.size(); ++i) {
+        const SweepPoint &p = points[i];
+        auto [it, fresh] = group_of.emplace(
+            Identity{p.workload, p.seed, p.scale, p.maxInsts}, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    for (size_t b = 0; b < groups.size(); b += threads) {
+        const size_t e = std::min(groups.size(), b + threads);
+        for (size_t k = 0;; ++k) {
+            bool any = false;
+            for (size_t g = b; g < e; ++g) {
+                if (k < groups[g].size()) {
+                    order.push_back(groups[g][k]);
+                    any = true;
+                }
+            }
+            if (!any)
+                break;
+        }
+    }
+    return order;
+}
+
+} // anonymous namespace
+
 unsigned
 SweepEngine::effectiveThreads(size_t n) const
 {
@@ -438,6 +492,7 @@ SweepEngine::run(const std::vector<SweepPoint> &points)
         return results;
 
     const unsigned nthreads = effectiveThreads(points.size());
+    const std::vector<size_t> order = claimOrder(points, nthreads);
     std::ostream &prog =
         opts.progressStream ? *opts.progressStream : std::cerr;
     std::atomic<size_t> next{0};
@@ -447,9 +502,10 @@ SweepEngine::run(const std::vector<SweepPoint> &points)
 
     auto worker = [&]() {
         for (;;) {
-            size_t i = next.fetch_add(1);
-            if (i >= points.size())
+            const size_t claimed = next.fetch_add(1);
+            if (claimed >= points.size())
                 return;
+            const size_t i = order[claimed];
             // Microreboot loop: a failed point gets up to opts.retries
             // clean re-runs before its failure stands.
             SweepResult r = runPoint(points[i]);

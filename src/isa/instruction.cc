@@ -5,126 +5,6 @@
 namespace tproc
 {
 
-bool
-isCondBranch(Opcode op)
-{
-    switch (op) {
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isIndirect(Opcode op)
-{
-    return op == Opcode::JR || op == Opcode::CALLR || op == Opcode::RET;
-}
-
-bool
-isCall(Opcode op)
-{
-    return op == Opcode::CALL || op == Opcode::CALLR;
-}
-
-bool
-isReturn(Opcode op)
-{
-    return op == Opcode::RET;
-}
-
-bool
-isDirectJump(Opcode op)
-{
-    return op == Opcode::JMP || op == Opcode::CALL;
-}
-
-bool
-isLoad(Opcode op)
-{
-    return op == Opcode::LD;
-}
-
-bool
-isStore(Opcode op)
-{
-    return op == Opcode::ST;
-}
-
-bool
-isControl(Opcode op)
-{
-    return isCondBranch(op) || isDirectJump(op) || isIndirect(op);
-}
-
-bool
-writesReg(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
-      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
-      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
-      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
-      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
-      case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
-      case Opcode::SLTI: case Opcode::LUI:
-      case Opcode::LD:
-      case Opcode::CALL: case Opcode::CALLR:
-        return inst.rd != regZero;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs1(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::NOP: case Opcode::HALT: case Opcode::LUI:
-      case Opcode::JMP: case Opcode::CALL:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsRs2(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
-      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
-      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
-      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
-      case Opcode::ST:
-      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
-      case Opcode::BGE:
-        return true;
-      default:
-        return false;
-    }
-}
-
-int
-execLatency(Opcode op)
-{
-    switch (op) {
-      case Opcode::MUL:
-        return 5;   // MIPS R10000 integer multiply
-      case Opcode::DIVX:
-        return 20;  // MIPS R10000 integer divide (approx.)
-      case Opcode::LD:
-      case Opcode::ST:
-        return 1;   // address generation; memory access modeled separately
-      default:
-        return 1;
-    }
-}
-
 const char *
 opcodeName(Opcode op)
 {

@@ -76,22 +76,107 @@ struct Instruction
     bool operator!=(const Instruction &o) const { return !(*this == o); }
 };
 
-/** @name Classification predicates. */
+/** @name Classification predicates.
+ * Defined inline so every call site folds to a compare or a bit test:
+ * the cycle loop, selection and the emulator classify each instruction
+ * many times per run. */
 /// @{
-bool isCondBranch(Opcode op);
-bool isIndirect(Opcode op);     //!< JR, CALLR, RET
-bool isCall(Opcode op);         //!< CALL, CALLR
-bool isReturn(Opcode op);       //!< RET
-bool isDirectJump(Opcode op);   //!< JMP, CALL
-bool isLoad(Opcode op);
-bool isStore(Opcode op);
-bool isControl(Opcode op);      //!< any branch/jump
+constexpr bool
+isCondBranch(Opcode op)
+{
+    switch (op) {
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** JR, CALLR, RET. */
+constexpr bool
+isIndirect(Opcode op)
+{
+    return op == Opcode::JR || op == Opcode::CALLR || op == Opcode::RET;
+}
+
+/** CALL, CALLR. */
+constexpr bool
+isCall(Opcode op)
+{
+    return op == Opcode::CALL || op == Opcode::CALLR;
+}
+
+/** RET. */
+constexpr bool isReturn(Opcode op) { return op == Opcode::RET; }
+
+/** JMP, CALL. */
+constexpr bool
+isDirectJump(Opcode op)
+{
+    return op == Opcode::JMP || op == Opcode::CALL;
+}
+
+constexpr bool isLoad(Opcode op) { return op == Opcode::LD; }
+constexpr bool isStore(Opcode op) { return op == Opcode::ST; }
+
+/** Any branch or jump. */
+constexpr bool
+isControl(Opcode op)
+{
+    return isCondBranch(op) || isDirectJump(op) || isIndirect(op);
+}
 
 /** True if the instruction writes a register (and rd != regZero). */
-bool writesReg(const Instruction &inst);
-/** True if the instruction reads rs1 / rs2 respectively. */
-bool readsRs1(const Instruction &inst);
-bool readsRs2(const Instruction &inst);
+constexpr bool
+writesReg(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
+      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
+      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
+      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
+      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
+      case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
+      case Opcode::SLTI: case Opcode::LUI:
+      case Opcode::LD:
+      case Opcode::CALL: case Opcode::CALLR:
+        return inst.rd != regZero;
+      default:
+        return false;
+    }
+}
+
+/** True if the instruction reads rs1. */
+constexpr bool
+readsRs1(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::NOP: case Opcode::HALT: case Opcode::LUI:
+      case Opcode::JMP: case Opcode::CALL:
+        return false;
+      default:
+        return true;
+    }
+}
+
+/** True if the instruction reads rs2. */
+constexpr bool
+readsRs2(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
+      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
+      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
+      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
+      case Opcode::ST:
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE:
+        return true;
+      default:
+        return false;
+    }
+}
 /// @}
 
 /**
@@ -99,21 +184,33 @@ bool readsRs2(const Instruction &inst);
  * greater than pc (a forward branch). Backward conditional branches are
  * loop branches in our ISA.
  */
-inline bool
+constexpr bool
 isForwardBranch(const Instruction &inst, Addr pc)
 {
     return isCondBranch(inst.op) && static_cast<Addr>(inst.imm) > pc;
 }
 
-inline bool
+constexpr bool
 isBackwardBranch(const Instruction &inst, Addr pc)
 {
     return isCondBranch(inst.op) && static_cast<Addr>(inst.imm) <= pc;
 }
 
 /** Execution latency in cycles (Table 1: ALU 1, complex ops at
- *  MIPS R10000 latencies, address generation 1 + memory access 2). */
-int execLatency(Opcode op);
+ *  MIPS R10000 latencies; loads and stores take 1 cycle of address
+ *  generation here, the memory access is modelled separately). */
+constexpr int
+execLatency(Opcode op)
+{
+    switch (op) {
+      case Opcode::MUL:
+        return 5;   // MIPS R10000 integer multiply
+      case Opcode::DIVX:
+        return 20;  // MIPS R10000 integer divide (approx.)
+      default:
+        return 1;
+    }
+}
 
 /** Mnemonic for disassembly. */
 const char *opcodeName(Opcode op);

@@ -10,53 +10,17 @@ namespace tproc
 namespace
 {
 
-/**
- * Compute intra-trace dependences, the local producer/consumer masks
- * and live-in sources for all slots. Does not touch destinations.
- * @return last writer slot per arch reg (-1 = none).
- */
-std::array<int, numArchRegs>
-computeDeps(InFlightTrace &t, const RenameMap &map)
+/** Map the live-in operands of every slot to the physical registers the
+ *  map names (the slots' dependences were resolved at selection). */
+void
+renameLiveIns(InFlightTrace &t, const RenameMap &map)
 {
-    std::array<int, numArchRegs> last_writer;
-    last_writer.fill(-1);
-
     for (size_t i = 0; i < t.slots.size(); ++i) {
         DynSlot &d = t.slots[i];
-        const Instruction &inst = t.at(i).inst;
-        d.dep1 = d.dep2 = -1;
-        d.src1 = d.src2 = invalidPhysReg;
-        d.producers = d.consumers = 0;
-        // A read source links to its in-trace producer, else to the
-        // live-in register the map names.
-        auto link = [&](bool reads, ArchReg r, int &dep, PhysReg &src) {
-            if (!reads)
-                return;
-            const int w = last_writer[r];
-            if (w < 0) {
-                src = map[r];
-                return;
-            }
-            dep = w;
-            d.producers |= slotBit(w);
-            t.slots[w].consumers |= slotBit(static_cast<int>(i));
-        };
-        link(readsRs1(inst), inst.rs1, d.dep1, d.src1);
-        link(readsRs2(inst), inst.rs2, d.dep2, d.src2);
-        if (writesReg(inst))
-            last_writer[inst.rd] = static_cast<int>(i);
+        const TraceSlot &s = t.at(i);
+        d.src1 = s.readsRs1 && s.dep1 < 0 ? map[s.inst.rs1] : invalidPhysReg;
+        d.src2 = s.readsRs2 && s.dep2 < 0 ? map[s.inst.rs2] : invalidPhysReg;
     }
-    return last_writer;
-}
-
-/** The slot masks are 64-bit; config validation keeps traces within
- *  them, so a longer one is a selection bug. */
-void
-checkTraceWidth(const Trace &trace)
-{
-    panic_if(trace.slots.size() > maxSlotsPerTrace,
-             "trace of %zu slots exceeds the %zu-slot PE mask width",
-             trace.slots.size(), maxSlotsPerTrace);
 }
 
 } // anonymous namespace
@@ -66,7 +30,6 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
                   std::shared_ptr<const Trace> trace, RenameMap &map,
                   PhysRegFile &prf)
 {
-    checkTraceWidth(*trace);
     t.uid = uid;
     t.mapBefore = map;
     t.peId = -1;
@@ -78,18 +41,15 @@ initInFlightTrace(InFlightTrace &t, TraceUid uid,
     t.slots.assign(trace->slots.size(), DynSlot{});
     t.trace = std::move(trace);
 
-    auto last_writer = computeDeps(t, map);
+    renameLiveIns(t, map);
 
     // Allocate global physical registers for live-outs and install them.
     t.liveOuts.clear();
-    for (int a = 0; a < numArchRegs; ++a) {
-        int w = last_writer[a];
-        if (w < 0)
-            continue;
+    for (const TraceLiveOut &lo : t.trace->liveOuts) {
         PhysReg p = prf.alloc();
-        t.slots[w].dest = p;
-        t.liveOuts.push_back({static_cast<ArchReg>(a), p, w});
-        map[a] = p;
+        t.slots[lo.slot].dest = p;
+        t.liveOuts.push_back({lo.arch, p, lo.slot});
+        map[lo.arch] = p;
     }
 
     t.resetStatusFrom(0);
@@ -103,7 +63,6 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     panic_if(prefix_len > new_trace->slots.size(),
              "repair: prefix longer than repaired trace (%zu > %zu)",
              prefix_len, new_trace->slots.size());
-    checkTraceWidth(*new_trace);
 
     // Remember old live-out assignments keyed by (slot, arch).
     std::array<PhysReg, numArchRegs> old_phys;
@@ -130,7 +89,7 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     t.slots.resize(new_trace->slots.size());
     t.trace = std::move(new_trace);
 
-    auto last_writer = computeDeps(t, map);
+    renameLiveIns(t, map);
 
     // Destinations are reassigned from scratch below; prefix slots that
     // lost their live-out status must not keep publishing to stale regs.
@@ -143,10 +102,9 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
     t.liveOuts.clear();
     std::array<bool, numArchRegs> reused;
     reused.fill(false);
-    for (int a = 0; a < numArchRegs; ++a) {
-        int w = last_writer[a];
-        if (w < 0)
-            continue;
+    for (const TraceLiveOut &lo : t.trace->liveOuts) {
+        const ArchReg a = lo.arch;
+        const int w = lo.slot;
         PhysReg p;
         if (w == old_slot[a] &&
             static_cast<size_t>(w) < prefix_len) {
@@ -162,7 +120,7 @@ repairInFlightTrace(InFlightTrace &t, std::shared_ptr<const Trace> new_trace,
             }
         }
         t.slots[w].dest = p;
-        t.liveOuts.push_back({static_cast<ArchReg>(a), p, w});
+        t.liveOuts.push_back({a, p, w});
         map[a] = p;
     }
 

@@ -3,11 +3,12 @@
  * Processing-element-resident trace state.
  *
  * Each PE holds one in-flight trace (Figure 2). Intra-trace values are
- * pre-renamed to producer slot indices and bypass locally; live-in and
- * live-out registers are renamed to global physical registers at
- * dispatch. Instructions remain in the PE until retirement, which is
- * what makes selective reissue transparent (Section 2.2.3): whenever an
- * input value arrives again, the consumer simply reissues.
+ * pre-renamed to producer slot indices once, when the trace is selected
+ * (TraceSlot::dep1/dep2), and bypass locally; only live-in and live-out
+ * registers are renamed to global physical registers at dispatch.
+ * Instructions remain in the PE until retirement, which is what makes
+ * selective reissue transparent (Section 2.2.3): whenever an input value
+ * arrives again, the consumer simply reissues.
  */
 
 #ifndef TPROC_PE_PROCESSING_ELEMENT_HH
@@ -23,17 +24,6 @@
 
 namespace tproc
 {
-
-/** Slot capacity of one PE: the per-trace scheduling masks are 64-bit,
- *  so ProcessorConfig::validate() caps selection.maxTraceLen here. */
-constexpr size_t maxSlotsPerTrace = 64;
-
-/** Mask bit of slot i (i < maxSlotsPerTrace). */
-constexpr uint64_t
-slotBit(int i)
-{
-    return uint64_t(1) << i;
-}
 
 /** Index of the lowest set bit of a nonzero mask. */
 inline int
@@ -52,15 +42,15 @@ lowSlots(size_t n)
 
 /**
  * Dynamic state of one instruction slot in a PE. The static facts (pc,
- * instruction, selection-time branch outcome, FGCI region flags) stay
- * in the trace (InFlightTrace::at), and the issue status lives in the
- * trace's slot masks; a DynSlot holds only what execution adds.
+ * instruction, selection-time branch outcome, FGCI region flags, the
+ * pre-renamed in-trace producers and consumers) stay in the trace
+ * (InFlightTrace::at), and the issue status lives in the trace's slot
+ * masks; a DynSlot holds only what dispatch and execution add.
  *
  * Field order is load-bearing for the hot path: the issue walk reads
- * the issue gate and the renamed sources of each candidate, the
- * completion walk reads the completion gate and waitingBus, and the
- * reissue walk reads the consumer mask — so those lead the struct
- * (first cache line), ahead of the flags and the values.
+ * the issue gate and the renamed sources of each candidate and the
+ * completion walk reads the completion gate and waitingBus, so those
+ * lead the struct (first cache line), ahead of the flags and the values.
  */
 struct DynSlot
 {
@@ -68,16 +58,8 @@ struct DynSlot
     /// @{
     Cycle earliestIssue = 0;    //!< dispatch / repair / reissue gate
     Cycle execDoneAt = 0;   //!< completion time of the in-flight issue
-    /** In-trace producer slots (bits of dep1/dep2): the slot is locally
-     *  ready iff every one of them has completed. */
-    uint64_t producers = 0;
-    /** In-trace consumer slots (every later slot whose dep1/dep2 is this
-     *  one): whom a completion wakes and a changed value reissues. */
-    uint64_t consumers = 0;
-    int dep1 = -1;      //!< producer slot index for rs1, or -1
-    int dep2 = -1;
     /** Live-in phys reg for rs1; valid iff the slot reads rs1 and has
-     *  no in-trace producer for it (dep1 < 0). */
+     *  no in-trace producer for it (TraceSlot::dep1 < 0). */
     PhysReg src1 = invalidPhysReg;
     PhysReg src2 = invalidPhysReg;
     PhysReg dest = invalidPhysReg;  //!< live-out phys reg (last writers)
@@ -122,6 +104,9 @@ struct DynSlot
         waitingBus = false;
     }
 };
+
+static_assert(sizeof(DynSlot) <= 88,
+              "DynSlot grew: static slot facts belong in the trace");
 
 /** A live-out register of a trace. */
 struct LiveOut
@@ -181,11 +166,11 @@ struct InFlightTrace
 
     bool completed(int i) const { return completedMask & slotBit(i); }
 
-    /** True iff every in-trace producer of d has completed. */
+    /** True iff every in-trace producer of slot i has completed. */
     bool
-    locallyReady(const DynSlot &d) const
+    locallyReady(size_t i) const
     {
-        return (d.producers & ~completedMask) == 0;
+        return (at(i).producers & ~completedMask) == 0;
     }
 
     /** Mark slots [from, size()) not issued, keep the status of the
@@ -200,7 +185,7 @@ struct InFlightTrace
         completedMask &= keep;
         localReadyMask = parkedMask = parkSig = 0;
         for (size_t i = 0; i < slots.size(); ++i) {
-            if (locallyReady(slots[i]))
+            if (locallyReady(i))
                 localReadyMask |= slotBit(static_cast<int>(i));
         }
     }
@@ -209,12 +194,12 @@ struct InFlightTrace
 /**
  * Rename a freshly selected trace against the global map, in place.
  *
- * The map is updated in place with the trace's live-outs. Intra-trace
- * dependences become slot indices; live-ins read the pre-update map.
- * t is fully re-initialized for the new trace but keeps its vectors'
- * capacity — the processor's PE slot pool recycles the same
- * InFlightTrace across dispatches, so the steady state allocates
- * nothing.
+ * Intra-trace dependences were resolved at selection; only the live-ins
+ * are mapped (reading the pre-update map) and the trace's live-outs
+ * allocated and installed in the map. t is fully re-initialized for the
+ * new trace but keeps its vectors' capacity — the processor's PE slot
+ * pool recycles the same InFlightTrace across dispatches, so the steady
+ * state allocates nothing.
  */
 void initInFlightTrace(InFlightTrace &t, TraceUid uid,
                        std::shared_ptr<const Trace> trace, RenameMap &map,

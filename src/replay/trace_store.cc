@@ -1,6 +1,7 @@
 #include "replay/trace_store.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <filesystem>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/hires_timer.hh"
 #include "common/logging.hh"
@@ -30,7 +32,9 @@ namespace
  * force every concurrent point on it to re-parse (and, for v2 traces,
  * re-decompress) the same file, defeating the parse-once contract.
  * When every entry is pinned the cache temporarily exceeds its bound
- * rather than evict live work.
+ * rather than evict live work. Parsing is single-flight per path: one
+ * thread parses while concurrent callers for the same path wait for its
+ * reader instead of parsing the file again.
  */
 constexpr size_t defaultCacheCapacity = 32;
 
@@ -41,6 +45,8 @@ struct ReaderCache
     std::unordered_map<std::string, std::shared_ptr<const TraceReader>>
         byPath;
     std::deque<std::string> order;      //!< insertion order for eviction
+    std::unordered_set<std::string> parsing;    //!< paths being parsed
+    std::condition_variable parsed;     //!< signalled as each parse ends
 
     void
     put(const std::string &path, std::shared_ptr<const TraceReader> r)
@@ -159,12 +165,26 @@ openFor(const std::string &path, const std::string &workload,
         std::string *why)
 {
     auto &cache = readerCache();
-    std::shared_ptr<const TraceReader> reader;
-    {
-        std::lock_guard<std::mutex> lock(cache.mutex);
-        reader = cache.get(path);
-    }
+    std::unique_lock<std::mutex> lock(cache.mutex);
+    cache.parsed.wait(lock, [&] { return !cache.parsing.count(path); });
+    std::shared_ptr<const TraceReader> reader = cache.get(path);
     if (!reader) {
+        cache.parsing.insert(path);
+        lock.unlock();
+        // Whatever the parse's outcome, release the waiters on exit.
+        struct ParseDone
+        {
+            ReaderCache &c;
+            const std::string &p;
+            std::unique_lock<std::mutex> &l;
+            ~ParseDone()
+            {
+                if (!l.owns_lock())
+                    l.lock();
+                c.parsing.erase(p);
+                c.parsed.notify_all();
+            }
+        } done{cache, path, lock};
         try {
             auto parse_phase = PhaseTimers::global().scope("parse");
             reader = std::make_shared<const TraceReader>(path);
@@ -173,9 +193,10 @@ openFor(const std::string &path, const std::string &workload,
                 *why = e.what();
             return nullptr;
         }
-        std::lock_guard<std::mutex> lock(cache.mutex);
+        lock.lock();
         cache.put(path, reader);
     }
+    lock.unlock();
     if (!acceptable(reader->info(), workload, seed, scale, max_insts,
                     why)) {
         return nullptr;

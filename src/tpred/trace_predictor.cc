@@ -13,46 +13,20 @@ constexpr uint8_t confMax = 3;
 
 } // anonymous namespace
 
-TracePredictor::Table::Table(size_t n_)
-    : blockValid((std::min(n_, blockBits) + 63) / 64, 0), n(n_),
-      blockShift(0), entries(new Entry[n_])
-{
-    panic_if(n == 0 || (n & (n - 1)) != 0,
-             "TracePredictor: table sizes must be powers of two");
-    while ((n >> blockShift) > blockBits)
-        ++blockShift;
-}
-
-const TracePredictor::Entry *
-TracePredictor::Table::find(size_t i) const
-{
-    const Entry &e = entries[i];
-    return blockSet(i >> blockShift) && e.valid ? &e : nullptr;
-}
-
-TracePredictor::Entry &
-TracePredictor::Table::touch(size_t i)
-{
-    const size_t b = i >> blockShift;
-    if (!blockSet(b)) {
-        const size_t first = b << blockShift;
-        for (size_t j = first; j < first + (size_t(1) << blockShift); ++j)
-            entries[j].valid = 0;
-        blockValid[b >> 6] |= uint64_t(1) << (b & 63);
-    }
-    return entries[i];
-}
-
 TracePredictor::TracePredictor(const Params &p)
-    : pathTable(p.pathEntries), simpleTable(p.simpleEntries)
+    : pathTable(p.pathEntries, Entry{}),
+      simpleTable(p.simpleEntries, Entry{})
 {
+    auto pow2 = [](size_t n) { return n != 0 && (n & (n - 1)) == 0; };
+    panic_if(!pow2(p.pathEntries) || !pow2(p.simpleEntries),
+             "TracePredictor: table sizes must be powers of two");
 }
 
 std::optional<TraceId>
 TracePredictor::predict(const PathHistory &hist) const
 {
-    const Entry *pe = pathTable.find(pathIndex(hist));
-    const Entry *se = simpleTable.find(simpleIndex(hist));
+    const Entry *pe = find(pathTable, pathIndex(hist));
+    const Entry *se = find(simpleTable, simpleIndex(hist));
 
     // Hybrid selection: the path-based component wins when it has a
     // confident entry; otherwise fall back to the simple component.

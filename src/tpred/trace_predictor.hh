@@ -14,14 +14,12 @@
 #ifndef TPROC_TPRED_TRACE_PREDICTOR_HH
 #define TPROC_TPRED_TRACE_PREDICTOR_HH
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <type_traits>
-#include <vector>
 
+#include "common/lazy_table.hh"
 #include "trace/trace.hh"
 
 namespace tproc
@@ -64,12 +62,9 @@ class PathHistory
 };
 
 /**
- * The hybrid predictor. Table entries are left uninitialised: each table
- * keeps a valid bitmap of at most blockBits bits (1 KB), one bit per
- * block of entries, and an entry is valid only inside a block whose bit
- * is set and when its own valid flag is. Training the first entry of a
- * block invalidates the block's entries and sets its bit, so
- * construction and reset() touch only the bitmaps.
+ * The hybrid predictor. Both tables are LazyTables: an entry never
+ * trained reads as invalid, so construction and reset() touch only the
+ * tables' valid bitmaps.
  */
 class TracePredictor
 {
@@ -79,9 +74,6 @@ class TracePredictor
         size_t pathEntries = 1 << 16;
         size_t simpleEntries = 1 << 16;
     };
-
-    /** Valid-bitmap bits per table (1 KB). */
-    static constexpr size_t blockBits = 8 * 1024;
 
     TracePredictor() : TracePredictor(Params()) {}
     explicit TracePredictor(const Params &p);
@@ -98,7 +90,7 @@ class TracePredictor
     /** Table entries the constructor initialised (bitmap words). */
     size_t setupEntries() const
     {
-        return pathTable.blockValid.size() + simpleTable.blockValid.size();
+        return pathTable.setupEntries() + simpleTable.setupEntries();
     }
 
     uint64_t predictions = 0;
@@ -119,30 +111,15 @@ class TracePredictor
     static_assert(std::is_trivially_default_constructible_v<Entry>,
                   "predictor entries must be left uninitialised");
 
-    class Table
+    using Table = LazyTable<Entry>;
+
+    /** The valid entry at index i of table, or nullptr. */
+    static const Entry *
+    find(const Table &table, size_t i)
     {
-      public:
-        explicit Table(size_t n);
-
-        /** The valid entry at index i, or nullptr. */
-        const Entry *find(size_t i) const;
-        /** The entry at index i, its block made valid first. */
-        Entry &touch(size_t i);
-        void clear() { std::fill(blockValid.begin(), blockValid.end(), 0); }
-        size_t size() const { return n; }
-
-        std::vector<uint64_t> blockValid;   //!< one bit per block
-
-      private:
-        bool blockSet(size_t b) const
-        {
-            return (blockValid[b >> 6] >> (b & 63)) & 1;
-        }
-
-        size_t n;
-        unsigned blockShift;    //!< log2(entries per block)
-        std::unique_ptr<Entry[]> entries;
-    };
+        const Entry &e = table[i];
+        return e.valid ? &e : nullptr;
+    }
 
     static void trainEntry(Entry &e, const TraceId &actual);
 

@@ -22,7 +22,7 @@ log2Floor(size_t v)
 
 Bit::Bit(const Params &p)
     : params(p), sets(p.entries / p.assoc),
-      setShift(log2Floor(sets)), array(sets * p.assoc)
+      setShift(log2Floor(sets)), array(sets * p.assoc, Way{})
 {
     panic_if(sets == 0 || (sets & (sets - 1)) != 0,
              "Bit: set count must be a power of two");
@@ -41,10 +41,11 @@ Bit::lookup(const Program &prog, Addr pc, int *scan_cycles)
     size_t victim = 0;
     uint64_t oldest = UINT64_MAX;
     for (size_t w = 0; w < params.assoc; ++w) {
-        Way &way = array[set * params.assoc + w];
+        const Way &way = array[set * params.assoc + w];
         if (way.valid && way.tag == tag) {
-            way.lastUse = useClock;
-            return way.entry;
+            Way &hit = array.touch(set * params.assoc + w);
+            hit.lastUse = useClock;
+            return hit.entry;
         }
         if (!way.valid) {
             victim = w;
@@ -63,7 +64,7 @@ Bit::lookup(const Program &prog, Addr pc, int *scan_cycles)
     if (scan_cycles)
         *scan_cycles = res.scannedInsts;
 
-    Way &way = array[set * params.assoc + victim];
+    Way &way = array.touch(set * params.assoc + victim);
     way.valid = true;
     way.tag = tag;
     way.lastUse = useClock;
@@ -90,8 +91,7 @@ Bit::probe(Addr pc) const
 void
 Bit::reset()
 {
-    for (auto &w : array)
-        w.valid = false;
+    array.clear();
     lookups = misses = scanInsts = 0;
     useClock = 0;
 }

@@ -5,6 +5,8 @@
  * entries (whether embeddable or not) so trace selection can distinguish
  * "known not embeddable" from "unknown". Misses invoke the FGCI scan and
  * report its latency so the frontend can charge construction stalls.
+ * The ways are a LazyTable: a way never filled reads invalid, so
+ * construction and reset() touch only its valid bitmap.
  */
 
 #ifndef TPROC_TRACE_BIT_HH
@@ -12,8 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/lazy_table.hh"
 #include "program/program.hh"
 #include "trace/fgci.hh"
 
@@ -23,9 +25,9 @@ namespace tproc
 /** Cached per-branch FGCI information (a 4-byte entry in the paper). */
 struct BitEntry
 {
-    bool embeddable = false;
-    int regionSize = 0;
-    int reconvOffset = 0;   //!< reconvPc - branchPc
+    bool embeddable;
+    int regionSize;
+    int reconvOffset;   //!< reconvPc - branchPc
 };
 
 class Bit
@@ -55,8 +57,8 @@ class Bit
 
     void reset();
 
-    /** Table entries the constructor initialised. */
-    size_t setupEntries() const { return array.size(); }
+    /** Table entries the constructor initialised (bitmap words). */
+    size_t setupEntries() const { return array.setupEntries(); }
 
     uint64_t lookups = 0;
     uint64_t misses = 0;
@@ -65,9 +67,9 @@ class Bit
   private:
     struct Way
     {
-        bool valid = false;
-        Addr tag = 0;
-        uint64_t lastUse = 0;
+        bool valid;
+        Addr tag;
+        uint64_t lastUse;
         BitEntry entry;
     };
 
@@ -78,7 +80,7 @@ class Bit
     size_t sets;
     unsigned setShift;
     uint64_t useClock = 0;
-    std::vector<Way> array;
+    LazyTable<Way> array;   //!< sets x assoc ways, set-major
 };
 
 } // namespace tproc

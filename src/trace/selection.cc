@@ -1,9 +1,45 @@
 #include "trace/selection.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace tproc
 {
+
+void
+predecode(Trace &tr)
+{
+    panic_if(tr.slots.size() > maxSlotsPerTrace,
+             "trace of %zu slots exceeds the %zu-slot mask width",
+             tr.slots.size(), maxSlotsPerTrace);
+    std::array<int8_t, numArchRegs> last_writer;
+    last_writer.fill(-1);
+    for (size_t i = 0; i < tr.slots.size(); ++i) {
+        TraceSlot &s = tr.slots[i];
+        auto link = [&](ArchReg r, int8_t &dep) {
+            dep = last_writer[r];
+            if (dep < 0)
+                return;
+            s.producers |= slotBit(dep);
+            tr.slots[dep].consumers |= slotBit(static_cast<int>(i));
+        };
+        s.readsRs1 = readsRs1(s.inst);
+        s.readsRs2 = readsRs2(s.inst);
+        if (s.readsRs1)
+            link(s.inst.rs1, s.dep1);
+        if (s.readsRs2)
+            link(s.inst.rs2, s.dep2);
+        if (writesReg(s.inst))
+            last_writer[s.inst.rd] = static_cast<int8_t>(i);
+    }
+    for (int a = 0; a < numArchRegs; ++a) {
+        if (last_writer[a] >= 0) {
+            tr.liveOuts.push_back({static_cast<ArchReg>(a),
+                                   static_cast<uint8_t>(last_writer[a])});
+        }
+    }
+}
 
 SelectionResult
 TraceSelector::select(Addr start_pc, const BranchOracle &oracle,

@@ -69,7 +69,10 @@ class TraceSelector
     {}
 
     /**
-     * Select one trace starting at start_pc.
+     * Select one trace starting at start_pc. Its dependence facts are
+     * left for predecode(), which a caller that keeps the trace runs
+     * once (the frontend skips it for a trace its trace cache already
+     * holds: selection is deterministic given the TraceId).
      *
      * @param oracle branch outcome source
      * @param icache if non-null, charge fetch costs for instructions at
@@ -85,10 +88,20 @@ class TraceSelector
     Bit *bitTable() const { return bit; }
 
   private:
+
     const Program &prog;
     SelectionParams params;
     Bit *bit;
 };
+
+/**
+ * Pre-rename a selected trace (Section 2): link every read operand to
+ * its in-trace producer (TraceSlot::dep1/dep2), derive the producer and
+ * consumer masks, and list the live-outs with their last writers
+ * (Trace::liveOuts). Dispatch then only maps live-ins to physical
+ * registers and allocates the live-outs.
+ */
+void predecode(Trace &tr);
 
 /** Oracle that replays the outcome bits of a TraceId, falling back to
  *  not-taken past numBranches (used when re-materializing a cached

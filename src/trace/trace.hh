@@ -62,7 +62,25 @@ enum class TraceEnd : uint8_t
 
 const char *traceEndName(TraceEnd end);
 
-/** One instruction slot within a trace. */
+/** Slot capacity of a trace: its pre-renamed dependence masks, like
+ *  the PE scheduling masks, are 64-bit, so ProcessorConfig::validate()
+ *  caps selection.maxTraceLen here. */
+constexpr size_t maxSlotsPerTrace = 64;
+
+/** Mask bit of slot i (i < maxSlotsPerTrace). */
+constexpr uint64_t
+slotBit(int i)
+{
+    return uint64_t(1) << i;
+}
+
+/**
+ * One instruction slot within a trace: the instruction, its
+ * selection-time control facts, and its pre-renamed intra-trace
+ * dependences. Selection fills every field once, when the trace is
+ * built; the trace is then shared, immutable, by the trace cache and
+ * every dispatch of it.
+ */
 struct TraceSlot
 {
     Addr pc = 0;
@@ -71,7 +89,29 @@ struct TraceSlot
     bool taken = false;     //!< selection-time outcome of this cond branch
     bool inRegion = false;  //!< inside an embedded FGCI region
     bool regionStart = false;   //!< branch that opened an embedded region
+    /** @name Pre-renamed operands.
+     * A read operand with no in-trace producer (dep < 0) is a live-in,
+     * renamed to a global physical register at dispatch. */
+    /// @{
+    int8_t dep1 = -1;       //!< in-trace producer slot of rs1, or -1
+    int8_t dep2 = -1;       //!< in-trace producer slot of rs2, or -1
+    bool readsRs1 = false;
+    bool readsRs2 = false;
+    /// @}
     Addr reconvPc = invalidAddr;    //!< region re-convergent pc (if start)
+    /** In-trace producer slots (bits of dep1/dep2): the slot is locally
+     *  ready once every one of them has completed. */
+    uint64_t producers = 0;
+    /** In-trace consumer slots (every later slot whose dep1/dep2 is this
+     *  one): whom a completion wakes and a changed value reissues. */
+    uint64_t consumers = 0;
+};
+
+/** A register the trace leaves behind: its last writer in the trace. */
+struct TraceLiveOut
+{
+    ArchReg arch;
+    uint8_t slot;
 };
 
 /**
@@ -90,6 +130,9 @@ struct Trace
     Addr fallthroughPc = invalidAddr;
     /** Number of straight-line runs (basic-block fetch units). */
     int numBlocks = 0;
+    /** Live-out registers in ascending register order, with their last
+     *  writer; dispatch allocates one physical register for each. */
+    std::vector<TraceLiveOut> liveOuts;
 
     size_t size() const { return slots.size(); }
     bool endsInReturn() const;

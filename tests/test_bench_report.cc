@@ -78,7 +78,8 @@ TEST(BenchReport, SchemaFieldsPresent)
         const JsonValue &sched = w.at("sched");
         for (const char *key :
              {"operand_probes", "issued_slots", "issue_candidates",
-              "completion_visits", "consumer_visits", "probes_per_issue"}) {
+              "completion_visits", "consumer_visits", "dep_analyses",
+              "probes_per_issue"}) {
             EXPECT_TRUE(sched.find(key)) << "missing sched key: " << key;
         }
         EXPECT_GE(sched.at("operand_probes").asNumber(),

@@ -77,6 +77,148 @@ TEST(Isa, ExecLatencies)
     EXPECT_EQ(execLatency(Opcode::LD), 1);  // agen only
 }
 
+namespace ref
+{
+
+// The classifiers as out-of-line switches, kept here only as the
+// reference the inline definitions must match opcode for opcode.
+
+bool
+isCondBranch(Opcode op)
+{
+    switch (op) {
+      case Opcode::BEQ:
+      case Opcode::BNE:
+      case Opcode::BLT:
+      case Opcode::BGE:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+isIndirect(Opcode op)
+{
+    return op == Opcode::JR || op == Opcode::CALLR || op == Opcode::RET;
+}
+
+bool isCall(Opcode op) { return op == Opcode::CALL || op == Opcode::CALLR; }
+bool isReturn(Opcode op) { return op == Opcode::RET; }
+bool
+isDirectJump(Opcode op)
+{
+    return op == Opcode::JMP || op == Opcode::CALL;
+}
+bool isLoad(Opcode op) { return op == Opcode::LD; }
+bool isStore(Opcode op) { return op == Opcode::ST; }
+
+bool
+isControl(Opcode op)
+{
+    return ref::isCondBranch(op) || ref::isDirectJump(op) ||
+        ref::isIndirect(op);
+}
+
+bool
+writesReg(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
+      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
+      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
+      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
+      case Opcode::ADDI: case Opcode::ANDI: case Opcode::ORI:
+      case Opcode::XORI: case Opcode::SLLI: case Opcode::SRLI:
+      case Opcode::SLTI: case Opcode::LUI:
+      case Opcode::LD:
+      case Opcode::CALL: case Opcode::CALLR:
+        return inst.rd != regZero;
+      default:
+        return false;
+    }
+}
+
+bool
+readsRs1(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::NOP: case Opcode::HALT: case Opcode::LUI:
+      case Opcode::JMP: case Opcode::CALL:
+        return false;
+      default:
+        return true;
+    }
+}
+
+bool
+readsRs2(const Instruction &inst)
+{
+    switch (inst.op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::MUL:
+      case Opcode::DIVX: case Opcode::AND: case Opcode::OR:
+      case Opcode::XOR: case Opcode::SLL: case Opcode::SRL:
+      case Opcode::SRA: case Opcode::SLT: case Opcode::SLTU:
+      case Opcode::ST:
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE:
+        return true;
+      default:
+        return false;
+    }
+}
+
+int
+execLatency(Opcode op)
+{
+    switch (op) {
+      case Opcode::MUL:
+        return 5;
+      case Opcode::DIVX:
+        return 20;
+      case Opcode::LD:
+      case Opcode::ST:
+        return 1;
+      default:
+        return 1;
+    }
+}
+
+} // namespace ref
+
+TEST(Isa, InlineClassifiersMatchTheReferenceForEveryOpcode)
+{
+    // Usable in constant expressions, so call sites fold.
+    static_assert(isLoad(Opcode::LD) && !isStore(Opcode::LD));
+    static_assert(execLatency(Opcode::DIVX) == 20);
+
+    for (int o = 0; o < static_cast<int>(Opcode::NUM_OPCODES); ++o) {
+        const Opcode op = static_cast<Opcode>(o);
+        SCOPED_TRACE(opcodeName(op));
+        EXPECT_EQ(isCondBranch(op), ref::isCondBranch(op));
+        EXPECT_EQ(isIndirect(op), ref::isIndirect(op));
+        EXPECT_EQ(isCall(op), ref::isCall(op));
+        EXPECT_EQ(isReturn(op), ref::isReturn(op));
+        EXPECT_EQ(isDirectJump(op), ref::isDirectJump(op));
+        EXPECT_EQ(isLoad(op), ref::isLoad(op));
+        EXPECT_EQ(isStore(op), ref::isStore(op));
+        EXPECT_EQ(isControl(op), ref::isControl(op));
+        EXPECT_EQ(execLatency(op), ref::execLatency(op));
+        for (ArchReg rd : {regZero, regRa, ArchReg(numArchRegs - 1)}) {
+            const Instruction inst{op, rd, 3, 4, 17};
+            EXPECT_EQ(writesReg(inst), ref::writesReg(inst)) << int(rd);
+            EXPECT_EQ(readsRs1(inst), ref::readsRs1(inst));
+            EXPECT_EQ(readsRs2(inst), ref::readsRs2(inst));
+            for (Addr pc : {Addr(0), Addr(17), Addr(40)}) {
+                EXPECT_EQ(isForwardBranch(inst, pc),
+                          ref::isCondBranch(op) && Addr(17) > pc);
+                EXPECT_EQ(isBackwardBranch(inst, pc),
+                          ref::isCondBranch(op) && Addr(17) <= pc);
+            }
+        }
+    }
+}
+
 TEST(Isa, AluSemantics)
 {
     EXPECT_EQ(evalAlu(Opcode::ADD, 2, 3, 0), 5);

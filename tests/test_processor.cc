@@ -193,20 +193,34 @@ TEST(Processor, IssueProbesOnlyLocallyReadySlots)
     EXPECT_GE(sw.completionVisits, p.statsSoFar().retiredInsts);
 }
 
+TEST(Processor, DependencesAreDerivedOncePerCachedTrace)
+{
+    // Selection pre-renames a trace once, when it is built and the
+    // trace cache does not already hold its identity; dispatch and
+    // repairs that re-select a cached trace derive nothing.
+    Workload w = makeWorkload("compress", 1);
+    Processor p(w.program, ProcessorConfig::forModel("FG+MLB-RET"));
+    const ProcessorStats &s = p.run(50000);
+    ASSERT_GT(s.condMispEvents, 0u);
+    const uint64_t derived = p.schedWork().depAnalyses;
+    EXPECT_GT(derived, 0u);
+    EXPECT_LE(derived, s.constructions + s.condMispEvents);
+    EXPECT_LT(8 * derived, s.dispatchedTraces + s.condMispEvents);
+}
+
 TEST(Processor, SetupWorkGrowsWithTouchedStateNotCapacity)
 {
-    // The Table 1 machine: the trace predictor initialises only its two
-    // 128-word valid bitmaps and the register file only its zero
-    // register, so the BTB (16K), BIT (8K) and the three 1K-line caches
-    // dominate. Initialising every predictor entry and pre-filling the
-    // free stack made this 289,791.
+    // The Table 1 machine: the trace predictor, the BTB and the BIT
+    // initialise only their 128-word valid bitmaps and the register file
+    // only its zero register, so the three 1K-line caches dominate.
+    // Initialising every predictor entry and pre-filling the free stack
+    // made this 289,791; an eager BTB (16K) and BIT (8K) made it 27,905.
     Workload w = makeWorkload("jpeg", 1);
     Processor p(w.program, ProcessorConfig::forModel("base"));
     const SetupWork &sw = p.setupWork();
     EXPECT_EQ(sw.windowWords, w.program.dataInit.size());
     EXPECT_EQ(sw.overflowWords, 0u);
-    EXPECT_EQ(sw.tableEntries,
-              2 * 128 + 1 + 16 * 1024 + 3 * 1024 + 8 * 1024);
+    EXPECT_EQ(sw.tableEntries, 2 * 128 + 1 + 128 + 3 * 1024 + 128);
 }
 
 } // namespace tproc

@@ -27,6 +27,7 @@ selectFrom(const Program &p, Addr pc, bool taken, int max_len = 32)
     auto r = sel.select(pc, [taken](int, Addr, const Instruction &, bool) {
         return taken;
     });
+    predecode(r.trace);
     return std::make_shared<Trace>(std::move(r.trace));
 }
 
@@ -117,14 +118,14 @@ TEST(Rename, IntraTraceDepsAndLiveInOut)
     initInFlightTrace(t, 1, tr, map, prf);
 
     // Slot 0: both sources are live-ins (initial map -> zero reg).
-    EXPECT_EQ(t.slots[0].dep1, -1);
+    EXPECT_EQ(t.at(0).dep1, -1);
     EXPECT_EQ(t.slots[0].src1, PhysRegFile::zeroReg);
     // Slot 1: rs1 = r3 from slot 0, rs2 = r4 live-in.
-    EXPECT_EQ(t.slots[1].dep1, 0);
-    EXPECT_EQ(t.slots[1].dep2, -1);
+    EXPECT_EQ(t.at(1).dep1, 0);
+    EXPECT_EQ(t.at(1).dep2, -1);
     // Slot 2: reads r6 from slot 1 twice.
-    EXPECT_EQ(t.slots[2].dep1, 1);
-    EXPECT_EQ(t.slots[2].dep2, 1);
+    EXPECT_EQ(t.at(2).dep1, 1);
+    EXPECT_EQ(t.at(2).dep2, 1);
 
     // Live-outs: r3 (last writer slot 2) and r6 (slot 1). Slot 0's write
     // of r3 is intra-trace only (no global register).
@@ -251,7 +252,7 @@ TEST(Rename, RepairAtFullMaskWidthKeepsPrefixStatus)
     // Local readiness is recomputed against the kept completions.
     uint64_t ready = 0;
     for (size_t i = 0; i < t.size(); ++i) {
-        if ((t.slots[i].producers & ~done) == 0)
+        if ((t.at(i).producers & ~done) == 0)
             ready |= slotBit(static_cast<int>(i));
     }
     EXPECT_EQ(t.localReadyMask, ready);

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hires_timer.hh"
 #include "common/logging.hh"
 #include "emulator/emulator.hh"
 #include "harness/golden.hh"
@@ -911,6 +912,57 @@ TEST(TraceStoreTest, EngineReplaysMoreTracesThanCacheBound)
     }
 
     replay::TraceStore::setCacheCapacityForTest(0);
+    replay::TraceStore::dropCache();
+}
+
+TEST(TraceStoreTest, ParallelSweepParsesEachTraceOnce)
+{
+    // Four workers over 8 workloads x 4 models on a cold parse cache:
+    // the claim order starts them on distinct traces and a concurrent
+    // open of one path waits for the single parse in flight, so each
+    // file is parsed exactly once ("parse" phase occurrences).
+    // 20k-instruction traces keep each parse long enough to overlap.
+    TempDir dir("store_parse_once");
+    const std::vector<std::string> workloads = {
+        "compress", "gcc", "go", "jpeg", "li", "m88ksim", "perl", "vortex"};
+    std::vector<harness::SweepPoint> points = harness::crossPoints(
+        workloads, {"base", "RET", "FG", "FG+MLB-RET"}, 1, 20000, true);
+    replay::TraceStore store(dir.path());
+    for (auto &p : points) {
+        p.scale = 0.25;
+        p.traceDir = dir.path();
+        store.ensure(p.workload, p.seed, p.scale, p.maxInsts);
+    }
+    replay::TraceStore::dropCache();
+
+    auto parses = [] {
+        for (const PhaseStat &ph : PhaseTimers::global().snapshot()) {
+            if (ph.name == "parse")
+                return ph.count;
+        }
+        return uint64_t(0);
+    };
+    const uint64_t before = parses();
+    harness::SweepEngine::Options opts;
+    opts.threads = 4;
+    auto results = harness::SweepEngine(opts).run(points);
+    EXPECT_EQ(parses() - before, workloads.size());
+
+    ASSERT_EQ(results.size(), points.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+        ASSERT_TRUE(results[i].ok) << results[i].error;
+        EXPECT_EQ(results[i].point.index, i);   // results in input order
+    }
+
+    // One workload x 4 models: all four workers open the same trace at
+    // once, and only the first parses it.
+    std::vector<harness::SweepPoint> same(points.begin(),
+                                          points.begin() + 4);
+    ASSERT_EQ(same.back().workload, same.front().workload);
+    replay::TraceStore::dropCache();
+    const uint64_t before_same = parses();
+    harness::SweepEngine(opts).run(same);
+    EXPECT_EQ(parses() - before_same, 1u);
     replay::TraceStore::dropCache();
 }
 

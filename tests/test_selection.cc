@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/random.hh"
+#include "core/config.hh"
+#include "frontend/frontend.hh"
 #include "program/builder.hh"
 #include "trace/selection.hh"
+#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc
@@ -22,6 +27,53 @@ BranchOracle
 constOracle(bool taken)
 {
     return [taken](int, Addr, const Instruction &, bool) { return taken; };
+}
+
+/**
+ * Reference dependence analysis: a from-scratch derivation over a
+ * trace's instructions, as dispatch once ran it for every trace it
+ * renamed. Selection's pre-renamed facts must equal it.
+ */
+void
+expectPredecoded(const Trace &tr, const std::string &what)
+{
+    std::array<int, numArchRegs> last_writer;
+    last_writer.fill(-1);
+    std::vector<int> dep1(tr.size(), -1), dep2(tr.size(), -1);
+    std::vector<uint64_t> producers(tr.size(), 0), consumers(tr.size(), 0);
+    for (size_t i = 0; i < tr.size(); ++i) {
+        const Instruction &inst = tr.slots[i].inst;
+        auto link = [&](bool reads, ArchReg r, int &dep) {
+            if (!reads || last_writer[r] < 0)
+                return;
+            dep = last_writer[r];
+            producers[i] |= uint64_t(1) << dep;
+            consumers[dep] |= uint64_t(1) << i;
+        };
+        link(readsRs1(inst), inst.rs1, dep1[i]);
+        link(readsRs2(inst), inst.rs2, dep2[i]);
+        if (writesReg(inst))
+            last_writer[inst.rd] = static_cast<int>(i);
+    }
+    for (size_t i = 0; i < tr.size(); ++i) {
+        const TraceSlot &s = tr.slots[i];
+        ASSERT_EQ(s.readsRs1, readsRs1(s.inst)) << what << " slot " << i;
+        ASSERT_EQ(s.readsRs2, readsRs2(s.inst)) << what << " slot " << i;
+        ASSERT_EQ(s.dep1, dep1[i]) << what << " slot " << i;
+        ASSERT_EQ(s.dep2, dep2[i]) << what << " slot " << i;
+        ASSERT_EQ(s.producers, producers[i]) << what << " slot " << i;
+        ASSERT_EQ(s.consumers, consumers[i]) << what << " slot " << i;
+    }
+    size_t k = 0;
+    for (int a = 0; a < numArchRegs; ++a) {
+        if (last_writer[a] < 0)
+            continue;
+        ASSERT_LT(k, tr.liveOuts.size()) << what;
+        EXPECT_EQ(tr.liveOuts[k].arch, a) << what;
+        EXPECT_EQ(tr.liveOuts[k].slot, last_writer[a]) << what;
+        ++k;
+    }
+    EXPECT_EQ(k, tr.liveOuts.size()) << what;
 }
 
 Program
@@ -234,6 +286,54 @@ TEST(Selection, SlotsNeverExceedAccrued)
             pc = r.trace.fallthroughPc;
         }
     }
+}
+
+TEST(Selection, PredecodedDependencesMatchAFreshDerivation)
+{
+    // Traces from every analog and one program per generator pattern,
+    // selected with FGCI padding and ntb at spread start pcs, plus the
+    // frontend's repair of every conditional branch in them
+    // (FGCI-covered inside an embedded region, else a plain
+    // re-prediction of the suffix), fresh or reused from its trace
+    // cache.
+    std::vector<std::string> programs = workloadNames();
+    for (const std::string &pattern : generatorPatternNames())
+        programs.push_back(generatedName(pattern, 0));
+    const ProcessorConfig cfg = ProcessorConfig::forModel("FG+MLB-RET");
+    size_t traces = 0, covered = 0;
+    for (const std::string &name : programs) {
+        Workload w = makeWorkload(name, 1);
+        Bit bit(cfg.bit);
+        TraceSelector sel(w.program, cfg.selection, &bit);
+        Frontend fe(w.program, cfg);
+        Rng rng(11);
+        BranchOracle oracle = [&rng](int, Addr, const Instruction &,
+                                     bool) { return rng.chance(0.5); };
+        const size_t stride = w.program.size() / 200 + 1;
+        for (Addr pc = 0; pc < w.program.size(); pc += stride) {
+            Trace tr = sel.select(pc, oracle).trace;
+            predecode(tr);
+            expectPredecoded(tr, name + " @" + std::to_string(pc));
+            ++traces;
+            for (size_t b = 0; b < tr.size(); ++b) {
+                const TraceSlot &s = tr.slots[b];
+                if (!s.isCondBr)
+                    continue;
+                const bool fgci = cfg.fgci && s.inRegion;
+                auto rep = fe.buildRepair(0, tr, static_cast<int>(b),
+                                          !s.taken, fgci);
+                expectPredecoded(*rep.trace, name + " @" +
+                                     std::to_string(pc) + " repair " +
+                                     std::to_string(b));
+                ++traces;
+                covered += fgci;
+            }
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    EXPECT_GT(traces, 4000u);
+    EXPECT_GT(covered, 1000u);    // FGCI repairs are exercised
 }
 
 } // namespace tproc
