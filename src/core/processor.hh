@@ -170,17 +170,21 @@ struct SchedWork
 };
 
 /**
- * Host-independent work the Processor constructor did, kept outside
- * ProcessorStats like SchedWork: the committed memory's data-image words
- * and the table entries each structure's constructor initialised
- * (trace predictor, register file, BTB, instruction and data caches,
- * BIT, trace cache). A live run's golden Emulator loads its own copy of
- * the image; that copy is not counted.
+ * Host-independent set-up work, kept outside ProcessorStats like
+ * SchedWork: where the committed memory keeps the data image, the
+ * image words its pages copied in on first touch so far, and the table
+ * entries each structure's constructor initialised (trace predictor,
+ * register file, BTB, instruction and data caches, BIT, trace cache).
+ * A live run's golden Emulator pages from the same image into its own
+ * memory; that copy is not counted.
  */
 struct SetupWork
 {
-    uint64_t windowWords = 0;   //!< image words placed in the dense window
+    /** Image words the dense window covers; they are paged in on
+     *  first touch, not at construction. */
+    uint64_t windowWords = 0;
     uint64_t overflowWords = 0; //!< image words placed in the overflow map
+    uint64_t pagedWords = 0;    //!< window image words paged in so far
     uint64_t tableEntries = 0;  //!< table entries constructors initialised
 };
 
@@ -220,8 +224,14 @@ class Processor
         return w;
     }
 
-    /** What construction cost, in words and table entries. */
-    const SetupWork &setupWork() const { return setup; }
+    /** What set-up cost so far, in words and table entries. */
+    SetupWork
+    setupWork() const
+    {
+        SetupWork w = setup;
+        w.pagedWords = mem.pagedWords();
+        return w;
+    }
 
     /** Check internal invariants (tests call this liberally): PE
      *  accounting, and each resident trace's slot masks against each

@@ -1,34 +1,75 @@
 #include "emulator/emulator.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.hh"
 
 namespace tproc
 {
 
-SparseMemory::SparseMemory(const DataImage &image)
+SparseMemory::SparseMemory(const DataImage &image_) : image(&image_)
 {
-    if (image.empty())
+    init();
+}
+
+SparseMemory::SparseMemory(DataImage &&image_)
+    : owned(std::make_shared<const DataImage>(std::move(image_)))
+{
+    image = owned.get();
+    init();
+}
+
+void
+SparseMemory::init()
+{
+    const DataImage &img = *image;
+    // One linear pass and no scatter: page fills binary-search the
+    // image, so it must be sorted. The branch-free pass finds whether;
+    // only a bad image pays for finding where.
+    bool ordered = true;
+    for (size_t i = 1; i < img.size(); ++i)
+        ordered &= img[i - 1].first < img[i].first;
+    auto descends = [](const auto &a, const auto &b) {
+        return a.first >= b.first;
+    };
+    const auto bad = ordered
+        ? img.end()
+        : std::adjacent_find(img.begin(), img.end(), descends);
+    panic_if(bad != img.end(),
+             "SparseMemory: data image not strictly increasing at %llu",
+             static_cast<unsigned long long>(std::next(bad)->first));
+    if (img.empty())
         return;
-    const Addr lo = image.front().first;
-    const Addr hi = image.back().first;
-    const bool dense = hi >= lo && hi - lo < windowSlack * image.size();
-    if (dense) {
+    const Addr lo = img.front().first;
+    const Addr hi = img.back().first;
+    if (hi - lo < windowSlack * img.size()) {
         windowBase = lo;
-        window.resize(hi - lo + 1);
+        span = hi - lo + 1;
+        pages.resize((span + pageWords - 1) / pageWords);
     } else {
-        overflow.reserve(image.size());
-    }
-    // The order check also keeps every window index in bounds.
-    for (size_t i = 0; i < image.size(); ++i) {
-        const auto &[addr, value] = image[i];
-        panic_if((i > 0 && addr <= image[i - 1].first) || addr > hi,
-                 "SparseMemory: data image not strictly increasing at %llu",
-                 static_cast<unsigned long long>(addr));
-        if (dense)
-            window[addr - lo] = value;
-        else
+        overflow.reserve(img.size());
+        for (const auto &[addr, value] : img)
             overflow.emplace(addr, value);
     }
+}
+
+int64_t *
+SparseMemory::fill(size_t idx) const
+{
+    const Addr first = idx * pageWords;
+    std::vector<int64_t> &pg = pages[idx];
+    pg.assign(std::min<size_t>(pageWords, span - first), 0);
+    filledWords += pg.size();
+    const Addr lo = windowBase + first;
+    auto it = std::lower_bound(
+        image->begin(), image->end(), lo,
+        [](const auto &entry, Addr a) { return entry.first < a; });
+    for (; it != image->end() && it->first - lo < pg.size(); ++it) {
+        pg[it->first - lo] = it->second;
+        ++paged;
+    }
+    return pg.data();
 }
 
 int64_t

@@ -53,6 +53,7 @@ sameWork(const SetupWork &a, const SetupWork &b)
 {
     return a.windowWords == b.windowWords &&
         a.overflowWords == b.overflowWords &&
+        a.pagedWords == b.pagedWords &&
         a.tableEntries == b.tableEntries;
 }
 
@@ -158,6 +159,7 @@ setupJson(const SetupWork &sw)
     JsonValue o = JsonValue::makeObject();
     o.set("window_words", num(static_cast<double>(sw.windowWords)));
     o.set("overflow_words", num(static_cast<double>(sw.overflowWords)));
+    o.set("paged_words", num(static_cast<double>(sw.pagedWords)));
     o.set("table_entries", num(static_cast<double>(sw.tableEntries)));
     return o;
 }

@@ -114,10 +114,16 @@ lzDecompress(const char *data, size_t n, size_t plain_len)
             if (len > plain_len - out.size())
                 throw TraceError("compressed block: match overruns "
                                  "plaintext length");
-            // Byte-at-a-time so dist < len overlap replicates (RLE).
-            size_t from = out.size() - static_cast<size_t>(dist);
-            for (uint64_t i = 0; i < len; ++i)
-                out.push_back(out[from + static_cast<size_t>(i)]);
+            // A match may overlap its own output (dist < len: RLE).
+            // Each block copies only bytes already decoded, and the
+            // blocks double, so a run of n bytes takes log(n) copies.
+            const size_t from = out.size() - static_cast<size_t>(dist);
+            auto left = static_cast<size_t>(len);
+            while (left > 0) {
+                const size_t block = std::min(left, out.size() - from);
+                out.append(out, from, block);
+                left -= block;
+            }
         }
     }
     if (!c.atEnd())

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "replay/codec.hh"
 
@@ -140,6 +139,24 @@ copyVarint(ByteCursor &c, std::string &out)
     throw TraceError("varint longer than 64 bits");
 }
 
+/** Copy the raw bytes of one varint from c to w, unparsed; returns
+ *  the advanced w. Throws TraceError as ByteCursor::varint would. */
+char *
+copyVarint(ByteCursor &c, char *w)
+{
+    const char *src = c.pos();
+    const size_t room = std::min<size_t>(c.remaining(), 10);
+    for (size_t i = 0; i < room; ++i) {
+        w[i] = src[i];
+        if (!(static_cast<uint8_t>(src[i]) & 0x80)) {
+            c.take(i + 1);
+            return w + i + 1;
+        }
+    }
+    throw TraceError(room == 10 ? "varint longer than 64 bits"
+                                : "trace data truncated mid-record");
+}
+
 /** Interleaved v1 step records -> the STPZ column plaintext. Pure
  *  byte regrouping: every varint is copied verbatim, never re-coded. */
 std::string
@@ -174,10 +191,15 @@ stepColumnsFromInterleaved(const char *data, size_t n, uint32_t records)
     return out;
 }
 
-/** Inverse of stepColumnsFromInterleaved; byte-exact by construction,
- *  so the reconstructed records feed the END stream digest unchanged. */
-std::string
-stepInterleavedFromColumns(const char *data, size_t n, uint32_t records)
+/**
+ * Inverse of stepColumnsFromInterleaved, appended to out; byte-exact by
+ * construction, so the reconstructed records feed the END stream digest
+ * unchanged. The records are never longer than the n column bytes they
+ * come from, so out grows once and is written through a pointer.
+ */
+void
+appendInterleavedFromColumns(const char *data, size_t n, uint32_t records,
+                             std::string &out)
 {
     ByteCursor c(data, n);
     ByteCursor streams[6] = {{nullptr, 0}, {nullptr, 0}, {nullptr, 0},
@@ -197,29 +219,31 @@ stepInterleavedFromColumns(const char *data, size_t n, uint32_t records)
     if (flags_len != records)
         throw TraceError("step flag column disagrees with record count");
 
+    const size_t base = out.size();
+    out.resize(base + n);
+    char *const start = &out[base];
+    char *w = start;
     ByteCursor &fc = streams[0];
-    std::string out;
-    out.reserve(n);
     for (uint32_t i = 0; i < records; ++i) {
         const uint8_t f = fc.u8();
         if (f & ~0x1fu)
             throw TraceError("invalid step flags");
-        out.push_back(static_cast<char>(f));
-        copyVarint(streams[1], out);
+        *w++ = static_cast<char>(f);
+        w = copyVarint(streams[1], w);
         if (!(f & 16))
-            copyVarint(streams[2], out);
+            w = copyVarint(streams[2], w);
         if (f & 2)
-            copyVarint(streams[3], out);
+            w = copyVarint(streams[3], w);
         if (f & 4) {
-            copyVarint(streams[4], out);
-            copyVarint(streams[5], out);
+            w = copyVarint(streams[4], w);
+            w = copyVarint(streams[5], w);
         }
     }
     for (int s = 1; s < 6; ++s) {
         if (!streams[s].atEnd())
             throw TraceError("trailing bytes in step column stream");
     }
-    return out;
+    out.resize(base + static_cast<size_t>(w - start));
 }
 
 /** The chunk digest covers the serialized header fields + payload. */
@@ -512,12 +536,16 @@ TraceReader::parseContainer(const std::string &path)
 {
     std::string data;
     {
-        std::ifstream in(path, std::ios::binary);
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
         if (!in)
             throw TraceError("cannot open trace file " + path);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        data = ss.str();
+        const std::streamsize size = in.tellg();
+        if (size < 0)
+            throw TraceError("cannot size trace file " + path);
+        data.resize(static_cast<size_t>(size));
+        in.seekg(0);
+        if (!in.read(&data[0], size))
+            throw TraceError("cannot read trace file " + path);
     }
     inf.fileBytes = data.size();
 
@@ -660,20 +688,19 @@ TraceReader::parseContainer(const std::string &path)
             if (chunk_no < 2)
                 throw TraceError(path + ": STEPS before PROG");
             auto [plain, codec] = decompress(payload, len, chunk_no);
-            std::string interleaved;
+            const size_t offset = stepData.size();
             try {
-                interleaved = stepInterleavedFromColumns(
-                    plain.data(), plain.size(), records);
+                appendInterleavedFromColumns(plain.data(), plain.size(),
+                                             records, stepData);
             } catch (const TraceError &e) {
                 throw TraceError(path + ": chunk " +
                                  std::to_string(chunk_no) + ": " +
                                  e.what());
             }
-            chunks.push_back({stepData.size(), interleaved.size(),
-                              records});
-            stream_fnv = fnv1a(interleaved.data(), interleaved.size(),
+            const size_t length = stepData.size() - offset;
+            chunks.push_back({offset, length, records});
+            stream_fnv = fnv1a(stepData.data() + offset, length,
                                stream_fnv);
-            stepData += interleaved;
             steps_sum += records;
             ++inf.stepChunks;
             inf.chunkStats.push_back({ctype, codec, len, plain.size()});
@@ -710,48 +737,99 @@ TraceReader::parseContainer(const std::string &path)
         throw TraceError(path + ": incomplete trace (missing END chunk)");
 }
 
+namespace
+{
+
+/** Unchecked reads over a record whose bytes the caller has already
+ *  bounds-checked as a whole. varint() keeps ByteCursor's 10-byte
+ *  limit, so both paths reject an over-long varint alike. */
+class RawCursor
+{
+  public:
+    explicit RawCursor(const char *p_) : p(p_) {}
+
+    uint8_t u8() { return static_cast<uint8_t>(*p++); }
+
+    uint64_t
+    varint()
+    {
+        uint64_t v = 0;
+        for (int shift = 0; shift < 64; shift += 7) {
+            const uint8_t b = u8();
+            v |= static_cast<uint64_t>(b & 0x7f) << shift;
+            if (!(b & 0x80))
+                return v;
+        }
+        throw TraceError("varint longer than 64 bits");
+    }
+
+    int64_t svarint() { return unzigzag(varint()); }
+    const char *pos() const { return p; }
+
+  private:
+    const char *p;
+};
+
+/** The one step-record decoder; Cursor picks checked or raw reads. */
+template <class Cursor>
+size_t
+decodeRecord(Cursor c, const Program &prog, Addr &prevPc,
+             Addr &prevMemAddr, StepResult &out)
+{
+    const char *const start = c.pos();
+    const uint8_t flags = c.u8();
+    if (flags & ~0x1fu)
+        throw TraceError("invalid step flags");
+    out.taken = flags & 1;
+    out.hasDest = flags & 2;
+    out.isMem = flags & 4;
+    out.halted = flags & 8;
+    out.pc = prevPc + static_cast<Addr>(c.svarint());
+    out.inst = prog.fetch(out.pc);
+    out.nextPc = (flags & 16) ? out.pc + 1
+                              : out.pc + static_cast<Addr>(c.svarint());
+    out.destValue = out.hasDest ? c.svarint() : 0;
+    if (out.isMem) {
+        out.memAddr = prevMemAddr + static_cast<Addr>(c.svarint());
+        out.memValue = c.svarint();
+        prevMemAddr = out.memAddr;
+    } else {
+        out.memAddr = 0;
+        out.memValue = 0;
+    }
+    prevPc = out.pc;
+    return static_cast<size_t>(c.pos() - start);
+}
+
+} // anonymous namespace
+
+size_t
+decodeStepRecord(const char *p, size_t n, const Program &prog,
+                 Addr &prevPc, Addr &prevMemAddr, StepResult &out)
+{
+    if (n >= maxStepRecordBytes)
+        return decodeRecord(RawCursor(p), prog, prevPc, prevMemAddr, out);
+    return decodeRecord(ByteCursor(p, n), prog, prevPc, prevMemAddr, out);
+}
+
 bool
 StepCursor::next(StepResult &out)
 {
-    const auto &chunks = reader->chunks;
-    for (;;) {
-        if (chunkIdx >= chunks.size())
-            return false;
-        const TraceReader::StepChunk &c = chunks[chunkIdx];
-        if (recordIdx == 0)
-            cur = ByteCursor(reader->stepData.data() + c.offset,
-                             c.length);
-        if (recordIdx < c.records)
-            break;
-        if (!cur.atEnd())
+    while (left == 0) {
+        if (p != end)
             throw TraceError("trailing bytes in STEPS chunk");
-        ++chunkIdx;
-        recordIdx = 0;
+        const auto &chunks = reader->chunks;
+        if (chunkIdx == chunks.size())
+            return false;
+        const TraceReader::StepChunk &c = chunks[chunkIdx++];
+        p = reader->stepData.data() + c.offset;
+        end = p + c.length;
+        left = c.records;
     }
-
-    const uint8_t flags = cur.u8();
-    if (flags & ~0x1fu)
-        throw TraceError("invalid step flags");
-    StepResult s;
-    s.taken = flags & 1;
-    s.hasDest = flags & 2;
-    s.isMem = flags & 4;
-    s.halted = flags & 8;
-    s.pc = prevPc + static_cast<Addr>(cur.svarint());
-    s.inst = reader->prog.fetch(s.pc);
-    s.nextPc = (flags & 16) ? s.pc + 1
-                            : s.pc + static_cast<Addr>(cur.svarint());
-    if (s.hasDest)
-        s.destValue = cur.svarint();
-    if (s.isMem) {
-        s.memAddr = prevMemAddr + static_cast<Addr>(cur.svarint());
-        s.memValue = cur.svarint();
-        prevMemAddr = s.memAddr;
-    }
-    prevPc = s.pc;
-    ++recordIdx;
+    p += decodeStepRecord(p, static_cast<size_t>(end - p), reader->prog,
+                          prevPc, prevMemAddr, out);
+    --left;
     ++decoded;
-    out = s;
     return true;
 }
 

@@ -226,6 +226,22 @@ class TraceReader
     std::vector<StepChunk> chunks;
 };
 
+/** Longest step record: the flags byte and five 10-byte varints. */
+constexpr size_t maxStepRecordBytes = 1 + 5 * 10;
+
+/**
+ * Decode the interleaved step record at p, with n bytes left in its
+ * chunk, into out, and return the bytes it took. prevPc and
+ * prevMemAddr carry the delta bases from record to record. When a
+ * whole record fits (n >= maxStepRecordBytes) one check covers it and
+ * the bytes are read unchecked; in a chunk's tail every byte is
+ * checked (ByteCursor). Both paths run the same record decoder and
+ * throw the same TraceErrors; out is unspecified after a throw. The
+ * static instruction is refetched from prog by pc.
+ */
+size_t decodeStepRecord(const char *p, size_t n, const Program &prog,
+                        Addr &prevPc, Addr &prevMemAddr, StepResult &out);
+
 /**
  * Sequential step decoder over a parsed trace. Holds all iteration
  * state, so independent cursors replay one shared TraceReader
@@ -244,9 +260,10 @@ class StepCursor
 
   private:
     const TraceReader *reader;
-    size_t chunkIdx = 0;
-    size_t recordIdx = 0;       //!< record within current chunk
-    ByteCursor cur{nullptr, 0};
+    size_t chunkIdx = 0;        //!< next chunk to enter
+    uint32_t left = 0;          //!< records left in the current chunk
+    const char *p = nullptr;    //!< next record
+    const char *end = nullptr;  //!< end of the current chunk
     uint64_t decoded = 0;
     Addr prevPc = 0;
     Addr prevMemAddr = 0;

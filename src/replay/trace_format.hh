@@ -183,6 +183,9 @@ class ByteCursor
 
     int64_t svarint() { return unzigzag(varint()); }
 
+    /** The next unread byte. */
+    const char *pos() const { return p; }
+
     std::string
     str()
     {

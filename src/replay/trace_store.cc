@@ -186,6 +186,10 @@ openFor(const std::string &path, const std::string &workload,
             }
         } done{cache, path, lock};
         try {
+            // A missing file is a cache miss, not a parse: time only
+            // opens that read a file.
+            if (!std::filesystem::exists(path))
+                throw TraceError("no trace file " + path);
             auto parse_phase = PhaseTimers::global().scope("parse");
             reader = std::make_shared<const TraceReader>(path);
         } catch (const TraceError &e) {

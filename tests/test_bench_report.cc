@@ -86,15 +86,18 @@ TEST(BenchReport, SchemaFieldsPresent)
                   sched.at("issued_slots").asNumber());
         EXPECT_GT(sched.at("issued_slots").asNumber(), 0.0);
 
-        // So are the construction work counters.
+        // So are the construction and paging work counters: a run
+        // pages in some of the window's image words, never more.
         const JsonValue &setup = w.at("setup");
-        for (const char *key :
-             {"window_words", "overflow_words", "table_entries"}) {
+        for (const char *key : {"window_words", "overflow_words",
+                                "paged_words", "table_entries"}) {
             EXPECT_TRUE(setup.find(key)) << "missing setup key: " << key;
         }
         EXPECT_GT(setup.at("window_words").asNumber() +
                       setup.at("overflow_words").asNumber(),
                   0.0);
+        EXPECT_LE(setup.at("paged_words").asNumber(),
+                  setup.at("window_words").asNumber());
         EXPECT_GT(setup.at("table_entries").asNumber(), 0.0);
     }
     JsonValue view = harness::benchNonTimingView(r);

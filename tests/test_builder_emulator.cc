@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -173,8 +176,8 @@ TEST(SparseMemory, HugeSpanImageStaysSmall)
 
 TEST(SparseMemory, UnorderedImagePanics)
 {
-    // {1, 100, 50} would index past a window sized from the last
-    // address; the order check stops it first.
+    // Page fills binary-search the image, so {1, 100, 50} would fill
+    // its pages with the wrong words; the order check stops it first.
     ScopedErrorCapture capture;
     for (const DataImage &image :
          {DataImage{{5, 1}, {5, 2}}, DataImage{{5, 1}, {3, 2}},
@@ -192,6 +195,111 @@ TEST(SparseMemory, EmptyImageReadsZero)
     EXPECT_EQ(mem.read(~Addr{0}), 0);
     mem.write(~Addr{0}, -1);
     EXPECT_EQ(mem.read(~Addr{0}), -1);
+}
+
+namespace
+{
+
+/** ~1.6k image words over a 3,300-word span that starts mid-page in
+ *  the address space: seven window pages, the last one partial. */
+DataImage
+multiPageImage()
+{
+    DataImage image;
+    Rng gen(3);
+    for (Addr a = 4096 + 100; a < 4096 + 100 + 3300; a += 1 + gen.below(3))
+        image.emplace_back(a, static_cast<int64_t>(gen.next()));
+    return image;
+}
+
+/** The first and last word of every window page, then the window's
+ *  two neighbours and a far word (those three in the overflow map). */
+std::vector<Addr>
+pageEdges(const DataImage &image)
+{
+    const Addr lo = image.front().first;
+    const size_t span = image.back().first - lo + 1;
+    std::vector<Addr> edges;
+    for (size_t first = 0; first < span; first += SparseMemory::pageWords) {
+        edges.push_back(lo + first);
+        edges.push_back(
+            lo + std::min(span, first + SparseMemory::pageWords) - 1);
+    }
+    edges.push_back(lo - 1);
+    edges.push_back(lo + span);
+    edges.push_back(Addr{1} << 50);
+    return edges;
+}
+
+} // anonymous namespace
+
+TEST(SparseMemory, PagesFillOnFirstTouchAcrossBoundaries)
+{
+    // Each page edge is touched first by a read in one memory and by a
+    // write in the other; both must agree with a hash-map reference,
+    // and only touched pages may be paged in.
+    const DataImage image = multiPageImage();
+    const Addr lo = image.front().first;
+    const size_t span = image.back().first - lo + 1;
+    ASSERT_EQ((span + SparseMemory::pageWords - 1) / SparseMemory::pageWords,
+              7u);
+    for (bool by_write : {false, true}) {
+        SparseMemory mem(image);
+        std::unordered_map<Addr, int64_t> ref(image.begin(), image.end());
+        ASSERT_EQ(mem.windowWords(), span);
+        EXPECT_EQ(mem.pagedWords(), 0u);
+        EXPECT_EQ(mem.footprint(), 0u);
+
+        // One page: only the image words it covers are copied in.
+        const Addr a0 = lo + SparseMemory::pageWords;
+        if (by_write) {
+            mem.write(a0, -1);
+            ref[a0] = -1;
+        }
+        EXPECT_EQ(mem.read(a0), ref.count(a0) ? ref[a0] : 0);
+        size_t in_page = 0;
+        for (const auto &[a, v] : image) {
+            in_page += a >= a0 && a < a0 + SparseMemory::pageWords;
+        }
+        EXPECT_EQ(mem.pagedWords(), in_page);
+        EXPECT_EQ(mem.footprint(), SparseMemory::pageWords);
+
+        for (Addr a : pageEdges(image)) {
+            if (by_write) {
+                const auto v = static_cast<int64_t>(a) * 7 - 3;
+                mem.write(a, v);
+                ref[a] = v;
+            }
+            const auto it = ref.find(a);
+            ASSERT_EQ(mem.read(a), it == ref.end() ? 0 : it->second)
+                << "addr " << a << " by_write " << by_write;
+        }
+        // Every page touched: the whole image is in, plus the three
+        // overflow words when they were written.
+        EXPECT_EQ(mem.pagedWords(), image.size());
+        EXPECT_EQ(mem.footprint(), span + (by_write ? 3 : 0));
+        for (const auto &[a, v] : ref)
+            ASSERT_EQ(mem.read(a), v) << "addr " << a;
+    }
+    // Random traffic over a fresh multi-page memory.
+    SparseMemory fresh(image);
+    checkAgainstReference(fresh, image, 5);
+}
+
+TEST(SparseMemory, OwnsATemporaryImageAndCopiesShareIt)
+{
+    // A temporary image is moved in and owned, so pages filled after
+    // the temporary is gone read the right words (ASan flags a
+    // borrowed, dead image here); a copy keeps paging from the same
+    // image after the original is destroyed.
+    const DataImage image = multiPageImage();
+    auto mem = std::make_unique<SparseMemory>(multiPageImage());
+    EXPECT_EQ(mem->read(image[1].first), image[1].second);
+    SparseMemory copy = *mem;
+    mem.reset();
+    for (const auto &[a, v] : image)
+        ASSERT_EQ(copy.read(a), v) << "addr " << a;
+    EXPECT_EQ(copy.pagedWords(), image.size());
 }
 
 TEST(Emulator, LoopAndBranches)

@@ -215,12 +215,21 @@ TEST(Processor, SetupWorkGrowsWithTouchedStateNotCapacity)
     // only its zero register, so the three 1K-line caches dominate.
     // Initialising every predictor entry and pre-filling the free stack
     // made this 289,791; an eager BTB (16K) and BIT (8K) made it 27,905.
+    // The committed memory pages its image in on first touch: nothing
+    // at construction, and after 100k instructions 4,096 of jpeg's
+    // 36,864 image words (8 of 72 pages) where a dense window used to
+    // copy all of them up front.
     Workload w = makeWorkload("jpeg", 1);
     Processor p(w.program, ProcessorConfig::forModel("base"));
-    const SetupWork &sw = p.setupWork();
+    SetupWork sw = p.setupWork();
     EXPECT_EQ(sw.windowWords, w.program.dataInit.size());
     EXPECT_EQ(sw.overflowWords, 0u);
+    EXPECT_EQ(sw.pagedWords, 0u);
     EXPECT_EQ(sw.tableEntries, 2 * 128 + 1 + 128 + 3 * 1024 + 128);
+    p.run(100000);
+    sw = p.setupWork();
+    EXPECT_EQ(sw.windowWords, 36864u);
+    EXPECT_EQ(sw.pagedWords, 4096u);
 }
 
 } // namespace tproc

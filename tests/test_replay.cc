@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "replay/codec.hh"
 #include "replay/replay_source.hh"
 #include "replay/trace_store.hh"
+#include "workloads/generator.hh"
 #include "workloads/workloads.hh"
 
 namespace tproc
@@ -733,6 +735,207 @@ TEST(ReplayNegative, ExhaustedTraceThrowsInsteadOfReplayingShort)
 }
 
 // ---------------------------------------------------------------------
+// Step decoding: the one-check fast path and the checked chunk tail.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The STEPS chunk payloads of a v1 trace file, in stream order. */
+std::vector<std::string>
+stepPayloads(const std::string &bytes)
+{
+    std::vector<std::string> out;
+    size_t pos = 8;
+    while (pos + 9 + 8 <= bytes.size()) {
+        replay::ByteCursor hdr(bytes.data() + pos, 9);
+        const auto type = static_cast<replay::ChunkType>(hdr.u8());
+        const uint32_t len = hdr.u32();
+        if (type == replay::ChunkType::STEPS)
+            out.push_back(bytes.substr(pos + 9, len));
+        pos += 9 + static_cast<size_t>(len) + 8;
+    }
+    return out;
+}
+
+/**
+ * A v1 container for an empty program whose STEPS chunks carry the
+ * given (payload, record count) pairs verbatim. Every chunk digest, the
+ * END totals and the stream digest are valid, so only step decoding
+ * can reject it.
+ */
+std::string
+v1WithSteps(const std::vector<std::pair<std::string, uint32_t>> &steps)
+{
+    using replay::ChunkType;
+    std::string out(replay::traceMagic, sizeof(replay::traceMagic));
+    replay::putU32(out, replay::traceVersion1);
+    auto chunk = [&out](ChunkType type, uint32_t records,
+                        const std::string &payload) {
+        std::string header;
+        header.push_back(static_cast<char>(type));
+        replay::putU32(header, static_cast<uint32_t>(payload.size()));
+        replay::putU32(header, records);
+        const uint64_t digest = replay::fnv1a(
+            payload.data(), payload.size(),
+            replay::fnv1a(header.data(), header.size()));
+        out += header + payload;
+        replay::putU64(out, digest);
+    };
+    std::string meta;
+    replay::putStr(meta, "crafted");
+    replay::putU64(meta, 1);                        // seed
+    replay::putU64(meta, 0x3ff0000000000000ull);    // scale 1.0
+    replay::putU64(meta, UINT64_MAX);               // capture cap
+    replay::putStr(meta, "crafted");
+    chunk(ChunkType::META, 0, meta);
+    chunk(ChunkType::PROG, 0, std::string(3, '\0'));  // entry, 0 code, 0 data
+    uint64_t total = 0;
+    uint64_t stream = replay::fnvOffset;
+    for (const auto &[payload, records] : steps) {
+        chunk(ChunkType::STEPS, records, payload);
+        total += records;
+        stream = replay::fnv1a(payload.data(), payload.size(), stream);
+    }
+    std::string end;
+    replay::putU64(end, total);
+    replay::putU64(end, stream);
+    end.push_back(0);
+    chunk(ChunkType::END, 0, end);
+    return out;
+}
+
+/** Decode rec on the fast path (followed by enough slack for one check
+ *  to cover a whole record) or as a chunk tail (exactly its bytes, in
+ *  a heap block of that size, so ASan sees any overread). */
+size_t
+decodeOne(const std::string &rec, bool fast, const Program &prog,
+          StepResult &out)
+{
+    Addr prev_pc = 0, prev_mem = 0;
+    if (fast) {
+        const std::string padded =
+            rec + std::string(replay::maxStepRecordBytes, '\0');
+        return replay::decodeStepRecord(padded.data(), padded.size(), prog,
+                                        prev_pc, prev_mem, out);
+    }
+    const auto exact = std::make_unique<char[]>(rec.size());
+    std::copy(rec.begin(), rec.end(), exact.get());
+    return replay::decodeStepRecord(exact.get(), rec.size(), prog, prev_pc,
+                                    prev_mem, out);
+}
+
+} // anonymous namespace
+
+TEST(StepDecoder, FastAndCheckedPathsAgreeOnSweepTraces)
+{
+    // Every record of the sweep_replay benchmark's traces (each builtin
+    // pattern's gen:<pattern>:0..7, 10k instructions, seed 1), decoded
+    // once with room for a whole record (the fast path), once as a
+    // chunk tail holding exactly its bytes (the checked path), and once
+    // by a StepCursor over the file: all three must agree.
+    TempDir dir("decode_paths");
+    const std::string path = dir.file("t.tpt");
+    uint64_t records = 0;
+    for (const std::string &pattern : generatorPatternNames()) {
+        for (int i = 0; i < 8; ++i) {
+            const std::string name = generatedName(pattern, i);
+            replay::captureWorkloadTrace(name, 1, 1.0, 10000, path, false);
+            const replay::TraceReader reader(path);
+            const Program &prog = reader.program();
+            replay::StepCursor cursor(reader);
+            Addr fast_pc = 0, fast_mem = 0, tail_pc = 0, tail_mem = 0;
+            for (const std::string &payload : stepPayloads(readBytes(path))) {
+                const std::string padded =
+                    payload + std::string(replay::maxStepRecordBytes, '\0');
+                size_t pos = 0;
+                while (pos < payload.size()) {
+                    StepResult fast, tail, streamed;
+                    const size_t used = replay::decodeStepRecord(
+                        padded.data() + pos, padded.size() - pos, prog,
+                        fast_pc, fast_mem, fast);
+                    ASSERT_LT(used, replay::maxStepRecordBytes);
+                    ASSERT_LE(pos + used, payload.size());
+                    const auto exact = std::make_unique<char[]>(used);
+                    std::copy_n(payload.data() + pos, used, exact.get());
+                    ASSERT_EQ(replay::decodeStepRecord(exact.get(), used,
+                                                       prog, tail_pc,
+                                                       tail_mem, tail),
+                              used);
+                    ASSERT_TRUE(cursor.next(streamed)) << name;
+                    ASSERT_EQ(fast, tail) << name << " record " << records;
+                    ASSERT_EQ(fast, streamed) << name << " record "
+                                              << records;
+                    pos += used;
+                    ++records;
+                }
+            }
+            StepResult s;
+            EXPECT_FALSE(cursor.next(s)) << name;
+            EXPECT_EQ(cursor.stepsRead(), reader.info().totalSteps);
+        }
+    }
+    EXPECT_GT(records, 64u * 10000u);
+}
+
+TEST(StepDecoder, MalformedRecordsThrowOnBothPaths)
+{
+    // A sequential record (flags 16, pc delta +1) is two bytes. Each bad
+    // record sits at a chunk's start and middle (the fast path: a whole
+    // record's bytes remain) and at its tail (the checked path), and is
+    // also decoded alone on each path. Every case is a TraceError,
+    // never a crash or a silent step.
+    const std::string good("\x10\x02", 2);
+    std::string good_run;
+    for (int i = 0; i < 100; ++i)
+        good_run += good;
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"invalid flags", std::string("\x20\x02", 2)},
+        {"11-byte varint",
+         "\x10" + std::string(10, '\x80') + std::string("\x01", 1)},
+    };
+    const Program empty;
+    TempDir dir("decode_bad");
+    const std::string path = dir.file("bad.tpt");
+    auto expectThrowAfter = [&](const std::string &payload,
+                                uint32_t records, uint64_t good_before,
+                                const std::string &label) {
+        writeBytes(path, v1WithSteps({{payload, records}}));
+        const replay::TraceReader reader(path);
+        replay::StepCursor cursor(reader);
+        StepResult s;
+        for (uint64_t i = 0; i < good_before; ++i)
+            ASSERT_TRUE(cursor.next(s)) << label;
+        EXPECT_THROW(cursor.next(s), replay::TraceError) << label;
+        EXPECT_FALSE(replay::TraceReader::verify(path, nullptr)) << label;
+    };
+    for (const auto &[label, rec] : bad) {
+        expectThrowAfter(rec + good_run, 101, 0, label + " at start");
+        expectThrowAfter(good_run.substr(0, 100) + rec + good_run.substr(100),
+                         101, 50, label + " mid-chunk");
+        expectThrowAfter(good_run + rec, 101, 100, label + " at tail");
+        for (bool fast : {true, false}) {
+            StepResult s;
+            EXPECT_THROW(decodeOne(rec, fast, empty, s), replay::TraceError)
+                << label << (fast ? " (fast)" : " (checked)");
+        }
+    }
+    // A final record cut short: flags 0 promises a next-pc varint.
+    const std::string cut("\x00\x02", 2);
+    expectThrowAfter(good_run + cut, 101, 100, "truncated final record");
+    StepResult s;
+    EXPECT_THROW(decodeOne(cut, false, empty, s), replay::TraceError);
+    // The well-formed file decodes cleanly on both paths.
+    writeBytes(path, v1WithSteps({{good_run, 100}, {good, 1}}));
+    EXPECT_TRUE(replay::TraceReader::verify(path, nullptr));
+    for (bool fast : {true, false}) {
+        ASSERT_EQ(decodeOne(good, fast, empty, s), 2u);
+        EXPECT_EQ(s.pc, 1u);
+        EXPECT_EQ(s.nextPc, 2u);
+    }
+}
+
+// ---------------------------------------------------------------------
 // TraceStore: capture-once, recapture-on-corruption, kill atomicity.
 // ---------------------------------------------------------------------
 
@@ -963,6 +1166,29 @@ TEST(TraceStoreTest, ParallelSweepParsesEachTraceOnce)
     const uint64_t before_same = parses();
     harness::SweepEngine(opts).run(same);
     EXPECT_EQ(parses() - before_same, 1u);
+    replay::TraceStore::dropCache();
+}
+
+TEST(TraceStoreTest, ColdCaptureTimesOneParse)
+{
+    // A missing file is a cache miss, not a parse: one capture on an
+    // empty store records one "parse" (the fresh file) and one
+    // "capture", not the two failed opens before the capture.
+    TempDir dir("store_cold");
+    replay::TraceStore::dropCache();
+    auto count = [](const char *phase) {
+        for (const PhaseStat &ph : PhaseTimers::global().snapshot()) {
+            if (ph.name == phase)
+                return ph.count;
+        }
+        return uint64_t(0);
+    };
+    const uint64_t parses = count("parse");
+    const uint64_t captures = count("capture");
+    replay::TraceStore store(dir.path());
+    EXPECT_TRUE(store.ensure("compress", 1, 0.25, 2000).captured);
+    EXPECT_EQ(count("parse") - parses, 1u);
+    EXPECT_EQ(count("capture") - captures, 1u);
     replay::TraceStore::dropCache();
 }
 
